@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 from scipy.optimize import minimize
 
-from .errors import DataError, ModelError
+from .errors import DataError, ModelError, NumericError
 
 SQRT5 = math.sqrt(5.0)
 
@@ -31,6 +31,9 @@ MEAN_BOUNDS = (-5.0, 5.0)
 
 # Diagonal jitter escalation on Cholesky failure.
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+# LAPACK Cholesky factorization and solve, looked up once.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ class GPModel:
     target_mean: float
     target_std: float
     degenerate_targets: bool
-    chol: tuple = field(repr=False, default=None)
+    chol: np.ndarray = field(repr=False, default=None)
     alpha: np.ndarray = field(repr=False, default=None)
     jitter: float = 0.0
     fit_info: dict = field(default_factory=dict)
@@ -112,17 +115,36 @@ def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.nd
     return _matern52(scaled_sq, params.signal_variance)
 
 
-def _factorize(K: np.ndarray):
-    """Cholesky with escalating diagonal jitter; raises after the last step."""
-    n = K.shape[0]
-    last_err = None
+def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of ``K`` with escalating diagonal jitter.
+
+    Returns the factor and the jitter that made ``K`` positive definite. Only
+    the lower triangle of the factor is set; the upper one keeps ``K``'s
+    entries. Raises NumericError on a non-finite ``K`` and ModelError when
+    the last jitter still fails.
+    """
+    if not np.isfinite(K).all():
+        raise NumericError("kernel matrix has non-finite entries")
+    diagonal = np.diag_indices_from(K)
     for jitter in JITTERS:
-        try:
-            chol = cho_factor(K + jitter * np.eye(n), lower=True)
+        if jitter:
+            K_jit = K.copy()
+            K_jit[diagonal] += jitter
+        else:
+            K_jit = K
+        chol, info = _POTRF(K_jit, lower=1, clean=0)
+        if info == 0:
             return chol, jitter
-        except np.linalg.LinAlgError as err:
-            last_err = err
-    raise ModelError(f"kernel factorization failed at jitter {JITTERS[-1]}: {last_err}")
+    raise ModelError(
+        f"kernel factorization failed at jitter {JITTERS[-1]}: "
+        f"{info}-th leading minor of the array is not positive definite"
+    )
+
+
+def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``K x = b`` given the lower Cholesky factor of ``K``."""
+    x, _ = _POTRS(chol, b, lower=1)
+    return x
 
 
 def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
@@ -149,7 +171,7 @@ def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     K = _cross_kernel(X, X, params)
     K[np.diag_indices_from(K)] += params.noise_variance
     chol, jitter = _factorize(K)
-    alpha = cho_solve(chol, y_std - params.mean_constant)
+    alpha = _solve(chol, y_std - params.mean_constant)
     return GPModel(
         train_inputs=X,
         train_targets_std=y_std,
@@ -179,19 +201,20 @@ def _mll_value_and_grad(
     m = theta[2 + d]
 
     inv_ls_sq = 1.0 / (ls * ls)
-    scaled_sq = np.tensordot(inv_ls_sq, sq_diffs, axes=(0, 0))
+    scaled_sq = (inv_ls_sq @ sq_diffs.reshape(d, -1)).reshape(n, n)
     s = SQRT5 * np.sqrt(np.maximum(scaled_sq, 0.0))
     exp_term = np.exp(-s)
     Kf = sv * (1.0 + s + s * s / 3.0) * exp_term
-    K = Kf + nv * np.eye(n)
+    K = Kf.copy()
+    K[np.diag_indices(n)] += nv
 
     chol, _ = _factorize(K)
     resid = y_std - m
-    a = cho_solve(chol, resid)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
+    a = _solve(chol, resid)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     mll = -0.5 * float(resid @ a) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
-    K_inv = cho_solve(chol, np.eye(n))
+    K_inv = _solve(chol, np.eye(n))
     A = np.outer(a, a) - K_inv
 
     grad = np.empty_like(theta)
@@ -254,14 +277,26 @@ def gp_fit(
     y_std, t_mean, t_std, degenerate = _standardize(y)
     sq_diffs = (X.T[:, :, None] - X.T[:, None, :]) ** 2  # (d, n, n)
 
+    # Every value computed, keyed by the point's bytes, so that start and end
+    # points are not evaluated again. (``result.fun`` is not always the value
+    # at ``result.x``.)
+    seen: dict[bytes, float] = {}
+
     def neg_mll(theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
             mll, grad = _mll_value_and_grad(theta, X, y_std, sq_diffs)
         except ModelError:
-            return 1e25, np.zeros_like(theta)
+            mll = math.nan
         if not np.isfinite(mll):
-            return 1e25, np.zeros_like(theta)
-        return -mll, -grad
+            value, grad = 1e25, np.zeros_like(theta)
+        else:
+            value, grad = -mll, -grad
+        seen[theta.tobytes()] = value
+        return value, grad
+
+    def mll_at(theta: np.ndarray) -> float:
+        value = seen.get(theta.tobytes())
+        return -(neg_mll(theta)[0] if value is None else value)
 
     starts = [warm_start.to_theta() if warm_start is not None else _default_start(d)]
     for _ in range(max(0, restarts - 1)):
@@ -279,9 +314,6 @@ def gp_fit(
     init_mlls: list[float] = []
     for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
-        f0, _ = neg_mll(theta0)
-        init_mlls.append(-f0)
-        evaluated.append((-f0, theta0))
         result = minimize(
             neg_mll,
             theta0,
@@ -290,8 +322,9 @@ def gp_fit(
             bounds=bounds,
             options={"maxiter": maxiter},
         )
-        f_final, _ = neg_mll(result.x)
-        evaluated.append((-f_final, result.x))
+        init_mlls.append(mll_at(theta0))
+        evaluated.append((init_mlls[-1], theta0))
+        evaluated.append((mll_at(result.x), result.x))
 
     best_mll, best_theta = max(evaluated, key=lambda item: item[0])
     if not np.isfinite(best_mll):
@@ -313,7 +346,9 @@ def gp_posterior_many(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     params = model.params
     k_star = _cross_kernel(X, model.train_inputs, params)  # (m, n)
     mean_std = params.mean_constant + k_star @ model.alpha
-    v = cho_solve(model.chol, k_star.T)  # (n, m)
+    if not np.isfinite(k_star).all():
+        raise NumericError("non-finite cross-kernel entries")
+    v = _solve(model.chol, k_star.T)  # (n, m)
     var_std = (
         params.signal_variance
         + params.noise_variance
@@ -334,7 +369,7 @@ def gp_posterior(model: GPModel, x: np.ndarray) -> Posterior:
 def log_marginal_likelihood(model: GPModel) -> float:
     """Exact MLL of the standardized targets under the model's params."""
     resid = model.train_targets_std - model.params.mean_constant
-    log_det = 2.0 * np.sum(np.log(np.diag(model.chol[0])))
+    log_det = 2.0 * np.sum(np.log(np.diag(model.chol)))
     n = model.n_train
     return float(
         -0.5 * resid @ model.alpha - 0.5 * log_det - 0.5 * n * math.log(2 * math.pi)

@@ -4,12 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from paretobo.errors import DataError
 from paretobo.surrogate import (
+    JITTERS,
+    LOG_LENGTHSCALE_BOUNDS,
+    LOG_NOISE_BOUNDS,
+    LOG_SIGNAL_BOUNDS,
+    MEAN_BOUNDS,
     KernelParams,
     _cross_kernel,
+    _default_start,
     _mll_value_and_grad,
+    _random_start,
+    _standardize,
     build_model,
     gp_fit,
     gp_posterior,
@@ -226,3 +235,113 @@ class TestInvariances:
         assert model.target_std == 1.0
         post = gp_posterior(model, np.array([0.5]))
         assert post.mean == pytest.approx(4.0, abs=1e-6)
+
+
+def reference_mll_value_and_grad(theta, X, y_std, sq_diffs):
+    """The MLL and gradient through scipy's checked Cholesky wrappers.
+
+    Same arithmetic, in the same order, as the library's direct LAPACK path,
+    which must reproduce it bit for bit.
+    """
+    n, d = X.shape
+    sv = math.exp(theta[0])
+    ls = np.exp(theta[1 : 1 + d])
+    nv = math.exp(theta[1 + d])
+    m = theta[2 + d]
+
+    inv_ls_sq = 1.0 / (ls * ls)
+    scaled_sq = np.tensordot(inv_ls_sq, sq_diffs, axes=(0, 0))
+    s = math.sqrt(5.0) * np.sqrt(np.maximum(scaled_sq, 0.0))
+    exp_term = np.exp(-s)
+    Kf = sv * (1.0 + s + s * s / 3.0) * exp_term
+    K = Kf + nv * np.eye(n)
+
+    for jitter in JITTERS:
+        try:
+            chol = cho_factor(K + jitter * np.eye(n), lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise AssertionError("reference factorization failed")
+    resid = y_std - m
+    a = cho_solve(chol, resid)
+    log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
+    mll = -0.5 * float(resid @ a) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
+
+    A = np.outer(a, a) - cho_solve(chol, np.eye(n))
+    grad = np.empty_like(theta)
+    grad[0] = 0.5 * np.sum(A * Kf)
+    base = sv * (5.0 / 3.0) * (1.0 + s) * exp_term
+    for i in range(d):
+        grad[1 + i] = 0.5 * np.sum(A * (base * (sq_diffs[i] * inv_ls_sq[i])))
+    grad[1 + d] = 0.5 * nv * np.trace(A)
+    grad[2 + d] = float(np.sum(a))
+    return mll, grad, jitter
+
+
+def _sq_diffs(X):
+    return (X.T[:, :, None] - X.T[:, None, :]) ** 2
+
+
+class TestLapackPathMatchesReference:
+    """The direct LAPACK path against scipy's ``cho_factor``/``cho_solve``."""
+
+    def test_bitwise_equal_on_random_cases(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 8))
+            X = rng.uniform(size=(n, d))
+            y_std = _standardize(rng.normal(size=n))[0]
+            theta = _random_start(d, rng)
+            sq = _sq_diffs(X)
+            mll, grad = _mll_value_and_grad(theta, X, y_std, sq)
+            ref_mll, ref_grad, _ = reference_mll_value_and_grad(theta, X, y_std, sq)
+            assert mll.hex() == ref_mll.hex()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_bitwise_equal_under_jitter_escalation(self):
+        rng = np.random.default_rng(7)
+        X = np.repeat(rng.uniform(size=(6, 2)), 3, axis=0)  # every point thrice
+        y_std = _standardize(rng.normal(size=18))[0]
+        # Noise far below the optimizer's floor: K is numerically singular.
+        theta = np.array([0.0, math.log(0.3), math.log(0.3), math.log(1e-20), 0.0])
+        sq = _sq_diffs(X)
+        ref_mll, ref_grad, jitter = reference_mll_value_and_grad(theta, X, y_std, sq)
+        assert jitter > 0
+        mll, grad = _mll_value_and_grad(theta, X, y_std, sq)
+        assert mll.hex() == ref_mll.hex()
+        assert grad.tobytes() == ref_grad.tobytes()
+        params = KernelParams.from_theta(theta, 2)
+        assert build_model(X, rng.normal(size=18), params).jitter == jitter
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_theta_raises(self, bad):
+        X = np.random.default_rng(3).uniform(size=(5, 2))
+        theta = _default_start(2)
+        theta[0] = bad
+        with pytest.raises(ValueError):
+            _mll_value_and_grad(theta, X, np.zeros(5), _sq_diffs(X))
+
+    def test_init_mlls_are_reference_mlls_at_clipped_starts(self):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(size=(12, 3))
+        y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+        warm = KernelParams(2e4, np.array([0.2, 5e3, 0.5]), 1e-9, 0.1)
+        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(5), warm_start=warm)
+
+        start_rng = np.random.default_rng(5)
+        starts = [warm.to_theta()] + [_random_start(3, start_rng) for _ in range(2)]
+        bounds = np.array(
+            [LOG_SIGNAL_BOUNDS] + [LOG_LENGTHSCALE_BOUNDS] * 3 + [LOG_NOISE_BOUNDS, MEAN_BOUNDS]
+        )
+        lo, hi = bounds.T
+        y_std = _standardize(y)[0]
+        expected = [
+            reference_mll_value_and_grad(np.clip(t, lo, hi), X, y_std, _sq_diffs(X))[0]
+            for t in starts
+        ]
+        assert [v.hex() for v in model.fit_info["init_mlls"]] == [
+            v.hex() for v in expected
+        ]
