@@ -44,7 +44,7 @@ _HART3_A = np.array(
     [[3.0, 10.0, 30.0], [0.1, 10.0, 35.0], [3.0, 10.0, 30.0], [0.1, 10.0, 35.0]]
 )
 _HART3_P = 1e-4 * np.array(
-    [[3689, 1170, 2673], [4699, 4387, 7470], [1090, 8732, 5547], [381, 5743, 8828]]
+    [[3689, 1170, 2673], [4699, 4387, 7470], [1091, 8732, 5547], [381, 5743, 8828]]
 )
 
 _HART6_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])

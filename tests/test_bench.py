@@ -40,6 +40,11 @@ class TestObjectives:
         for _ in range(200):
             assert obj.value(rng.uniform(size=len(obj.space))) >= obj.f_opt - 1e-9
 
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_published_optimum_at_minimizer(self, name):
+        obj = OBJECTIVES[name]
+        assert abs(obj.value(obj.minimizer_unit) - obj.f_opt) <= 1e-9
+
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigError):
             make_synthetic("styblinski", None)
