@@ -735,7 +735,6 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise", type=float, default=0.0, help="objective noise sd")
     parser.add_argument("--cost-model", default="lv3", choices=ONLINE_COST_KINDS)
     parser.add_argument("--candidates", type=int, default=1024)
-    parser.add_argument("--config", default=None, help="JSON file with overrides")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -94,8 +94,13 @@ class RunConfig:
         }
 
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        return _config_hash(self.to_dict())
+
+
+def _config_hash(config: dict) -> str:
+    """Short digest of a run config in its ``RunConfig.to_dict`` form."""
+    payload = json.dumps(config, sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -178,7 +183,10 @@ class Trace:
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Reload a trace written by :meth:`Trace.write` (fronts as (ei, cost))."""
+    """Reload a trace written by :meth:`Trace.write`.
+
+    Fronts come back as (ei, cost) pairs and persistence as its counts only.
+    """
     records: list[IterationRecord] = []
     problem: dict = {}
     run_config: dict = {}
@@ -193,6 +201,7 @@ def read_trace(path: str | Path) -> Trace:
                 run_config = payload.get("config", {})
                 continue
             front = payload.get("front")
+            persistence = payload.get("persistence")
             records.append(
                 IterationRecord(
                     iteration=payload["iteration"],
@@ -216,6 +225,11 @@ def read_trace(path: str | Path) -> Trace:
                     else tuple(
                         Candidate(point=np.empty(0), ei=e, cost_pred=c)
                         for e, c in front
+                    ),
+                    persistence=None
+                    if persistence is None
+                    else PersistenceStat(
+                        survived=persistence[0], total=persistence[1], rescored=()
                     ),
                 )
             )
@@ -422,9 +436,8 @@ def run(
 def summary_row(trace: Trace) -> dict:
     """One-line run summary for the harness CSV."""
     cfg = trace.run_config
-    payload = json.dumps(cfg, sort_keys=True)
     return {
-        "config_hash": hashlib.sha256(payload.encode()).hexdigest()[:12],
+        "config_hash": _config_hash(cfg),
         "seed": cfg.get("seed"),
         "problem": trace.problem.get("name"),
         "final_incumbent": trace.final_incumbent,

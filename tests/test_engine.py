@@ -248,6 +248,22 @@ class TestTraceIO:
                     (c.ei, c.cost_pred) for c in b.front
                 ]
 
+    def test_round_trip_is_byte_identical_with_persistence(self, tmp_path):
+        trace = run(
+            quick_problem(),
+            quick_config(acquisition=CEI(0.5)),
+            track_persistence=True,
+        )
+        assert any(r.persistence is not None for r in trace.records)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        trace.write(first)
+        read_trace(first).write(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_summary_row_hash_is_config_hash(self):
+        cfg = quick_config()
+        assert summary_row(run(quick_problem(), cfg))["config_hash"] == cfg.config_hash()
+
     def test_bo_records_carry_selection_fields(self):
         trace = run(quick_problem(), quick_config(acquisition=CEI(0.25)))
         bo = [r for r in trace.records if r.phase == "bo"]
