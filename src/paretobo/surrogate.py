@@ -125,11 +125,10 @@ def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
     """
     if not np.isfinite(K).all():
         raise NumericError("kernel matrix has non-finite entries")
-    diagonal = np.diag_indices_from(K)
     for jitter in JITTERS:
         if jitter:
             K_jit = K.copy()
-            K_jit[diagonal] += jitter
+            K_jit[np.diag_indices_from(K_jit)] += jitter
         else:
             K_jit = K
         chol, info = _POTRF(K_jit, lower=1, clean=0)

@@ -16,6 +16,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 if "numpy" in sys.modules:
     warnings.warn(
-        "numpy was imported before tests/conftest.py; BLAS thread counts are not pinned",
+        "numpy was imported before tests/conftest.py; BLAS threads are not pinned",
         stacklevel=1,
     )

@@ -260,10 +260,6 @@ class TestTraceIO:
         read_trace(first).write(second)
         assert second.read_bytes() == first.read_bytes()
 
-    def test_summary_row_hash_is_config_hash(self):
-        cfg = quick_config()
-        assert summary_row(run(quick_problem(), cfg))["config_hash"] == cfg.config_hash()
-
     def test_bo_records_carry_selection_fields(self):
         trace = run(quick_problem(), quick_config(acquisition=CEI(0.25)))
         bo = [r for r in trace.records if r.phase == "bo"]
@@ -278,6 +274,7 @@ class TestTraceIO:
     def test_summary_row_fields(self):
         trace = run(quick_problem(), quick_config())
         row = summary_row(trace)
+        assert row["config_hash"] == quick_config().config_hash()
         assert row["iterations"] == 9
         assert row["seed"] == 3
         assert row["final_incumbent"] == trace.final_incumbent

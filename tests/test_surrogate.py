@@ -139,6 +139,12 @@ class TestPosterior:
             assert means[i] == pytest.approx(mean, abs=1e-8)
             assert variances[i] == pytest.approx(var, abs=1e-8)
 
+    def test_non_finite_query_raises(self):
+        params = KernelParams(1.0, np.array([0.3]), 1e-3)
+        model = build_model(np.array([[0.2], [0.8]]), np.array([1.0, 2.0]), params)
+        with pytest.raises(ValueError):
+            gp_posterior_many(model, np.array([[math.nan]]))
+
     def test_variance_nonnegative_everywhere(self):
         rng = np.random.default_rng(13)
         X = rng.uniform(size=(8, 2))
@@ -334,7 +340,9 @@ class TestLapackPathMatchesReference:
         start_rng = np.random.default_rng(5)
         starts = [warm.to_theta()] + [_random_start(3, start_rng) for _ in range(2)]
         bounds = np.array(
-            [LOG_SIGNAL_BOUNDS] + [LOG_LENGTHSCALE_BOUNDS] * 3 + [LOG_NOISE_BOUNDS, MEAN_BOUNDS]
+            [LOG_SIGNAL_BOUNDS]
+            + [LOG_LENGTHSCALE_BOUNDS] * 3
+            + [LOG_NOISE_BOUNDS, MEAN_BOUNDS]
         )
         lo, hi = bounds.T
         y_std = _standardize(y)[0]
