@@ -4,6 +4,7 @@ from .acquisition import (
     CEI,
     EI,
     Candidate,
+    CandidateSet,
     EIAlpha,
     EICool,
     EIpu,

@@ -102,6 +102,41 @@ class Candidate:
     cost_pred: float
 
 
+@dataclass(frozen=True)
+class CandidateSet:
+    """A scored candidate set as arrays: points (m, d), EI (m,), cost (m,).
+
+    Indexing materializes one :class:`Candidate` with its own copy of the
+    point; the selection rules read the arrays directly.
+    """
+
+    points: np.ndarray
+    ei: np.ndarray
+    cost: np.ndarray
+
+    @classmethod
+    def of(cls, cands: CandidateSet | Sequence[Candidate]) -> CandidateSet:
+        """The arrays of a candidate list (a set is returned as it is)."""
+        if isinstance(cands, CandidateSet):
+            return cands
+        return cls(
+            points=np.array([c.point for c in cands], dtype=float),
+            ei=np.array([c.ei for c in cands], dtype=float),
+            cost=np.array([c.cost_pred for c in cands], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ei)
+
+    def __getitem__(self, i: int) -> Candidate:
+        return Candidate(
+            point=self.points[i].copy(), ei=float(self.ei[i]), cost_pred=float(self.cost[i])
+        )
+
+
+Candidates = CandidateSet | Sequence[Candidate]
+
+
 @dataclass
 class SelectionResult:
     """Outcome of one acquisition step over a scored candidate set."""
@@ -109,7 +144,7 @@ class SelectionResult:
     chosen: Candidate
     chosen_index: int
     front: list[Candidate]
-    candidates: list[Candidate]
+    candidates: CandidateSet
     threshold: float | None = None
     degenerate: bool = False
 
@@ -190,32 +225,36 @@ def dominates(p: Candidate, q: Candidate) -> Dominance:
     return "none"
 
 
-def pareto_front(cands: Sequence[Candidate]) -> list[Candidate]:
+def front_indices(eis: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated points of a nonempty set, by cost, then index.
+
+    A point is on the front when its EI is the largest at its cost and
+    exceeds every EI at a strictly lower cost. Duplicates are all kept.
+    """
+    order = np.lexsort((-eis, costs))  # stable: equal keys keep index order
+    e, c = eis[order], costs[order]
+    new_group = np.empty(len(c), dtype=bool)
+    new_group[0] = True
+    np.not_equal(c[1:], c[:-1], out=new_group[1:])
+    group = np.cumsum(new_group) - 1
+    head = e[new_group]  # each cost group's largest EI
+    best_cheaper = np.empty_like(head)
+    best_cheaper[0] = -math.inf
+    np.maximum.accumulate(head[:-1], out=best_cheaper[1:])
+    on_front = (head > best_cheaper)[group] & (e == head[group])
+    return order[on_front]
+
+
+def pareto_front(cands: Candidates) -> list[Candidate]:
     """Non-dominated candidates, sorted by ascending predicted cost.
 
-    Duplicates (identical cost and EI) are all retained.
+    Duplicates (identical cost and EI) are all retained. A list gives back
+    its own members; a :class:`CandidateSet` gives new candidates.
     """
-    if not cands:
+    if not len(cands):
         raise UsageError("pareto_front needs at least one candidate")
-    costs = np.array([c.cost_pred for c in cands])
-    eis = np.array([c.ei for c in cands])
-    order = np.lexsort((-eis, costs))
-
-    front: list[Candidate] = []
-    best_cheaper = -math.inf
-    i = 0
-    while i < len(order):
-        j = i
-        cost_here = costs[order[i]]
-        while j < len(order) and costs[order[j]] == cost_here:
-            j += 1
-        group = order[i:j]
-        group_max = eis[group[0]]  # sorted descending within equal cost
-        if group_max > best_cheaper:
-            front.extend(cands[k] for k in sorted(g for g in group if eis[g] == group_max))
-        best_cheaper = max(best_cheaper, group_max)
-        i = j
-    return front
+    scored = CandidateSet.of(cands)
+    return [cands[i] for i in front_indices(scored.ei, scored.cost)]
 
 
 def _argmax_with_tiebreak(scores: np.ndarray, costs: np.ndarray) -> int:
@@ -240,54 +279,50 @@ def _effective_alpha(kind: AcquisitionKind, spent: float) -> float:
     raise UsageError(f"{kind!r} has no pointwise cost exponent")
 
 
-def cei_select(cands: Sequence[Candidate], lam: float) -> SelectionResult:
+def _selection(
+    cands: Candidates, scored: CandidateSet, chosen_idx: int, threshold: float | None
+) -> SelectionResult:
+    return SelectionResult(
+        chosen=cands[chosen_idx],
+        chosen_index=chosen_idx,
+        front=pareto_front(cands),
+        candidates=scored,
+        threshold=threshold,
+        degenerate=bool(np.max(scored.ei) <= 0.0),
+    )
+
+
+def cei_select(cands: Candidates, lam: float) -> SelectionResult:
     """Minimum-cost candidate among those with EI >= (1 - lam) * max EI.
 
     Cost ties go to the higher EI, then to the lower index. The chosen
     candidate is always non-dominated within ``cands``.
     """
-    if not cands:
+    if not len(cands):
         raise UsageError("cei_select needs at least one candidate")
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    eis = np.array([c.ei for c in cands])
-    costs = np.array([c.cost_pred for c in cands])
+    scored = CandidateSet.of(cands)
+    eis, costs = scored.ei, scored.cost
     threshold = (1.0 - lam) * float(np.max(eis))
     feasible = np.flatnonzero(eis >= threshold)
 
     # min cost, then max EI, then lowest index
     at_min_cost = feasible[costs[feasible] == costs[feasible].min()]
     chosen_idx = int(at_min_cost[eis[at_min_cost] == eis[at_min_cost].max()][0])
-    return SelectionResult(
-        chosen=cands[chosen_idx],
-        chosen_index=chosen_idx,
-        front=pareto_front(cands),
-        candidates=list(cands),
-        threshold=threshold,
-        degenerate=bool(np.max(eis) <= 0.0),
-    )
+    return _selection(cands, scored, chosen_idx, threshold)
 
 
-def select(
-    kind: AcquisitionKind, cands: Sequence[Candidate], spent: float = 0.0
-) -> SelectionResult:
+def select(kind: AcquisitionKind, cands: Candidates, spent: float = 0.0) -> SelectionResult:
     """Apply an acquisition rule to an already-scored candidate set."""
     if isinstance(kind, CEI):
         return cei_select(cands, kind.lam)
-    if not cands:
+    if not len(cands):
         raise UsageError("select needs at least one candidate")
-    costs = np.array([c.cost_pred for c in cands])
-    eis = np.array([c.ei for c in cands])
-    scores = eis / costs ** _effective_alpha(kind, spent)
-    chosen_idx = _argmax_with_tiebreak(scores, costs)
-    return SelectionResult(
-        chosen=cands[chosen_idx],
-        chosen_index=chosen_idx,
-        front=pareto_front(cands),
-        candidates=list(cands),
-        threshold=None,
-        degenerate=bool(np.max(eis) <= 0.0),
-    )
+    scored = CandidateSet.of(cands)
+    scores = scored.ei / scored.cost ** _effective_alpha(kind, spent)
+    chosen_idx = _argmax_with_tiebreak(scores, scored.cost)
+    return _selection(cands, scored, chosen_idx, None)
 
 
 def generate_candidates(
@@ -333,16 +368,14 @@ def score_candidates(
     cost_predictions: np.ndarray,
     f_min: float,
     cost_floor: float,
-) -> list[Candidate]:
+) -> CandidateSet:
     """Score unit-cube points with (EI, clamped predicted cost)."""
     means, variances = gp_posterior_many(model, points)
-    sigmas = np.sqrt(variances)
-    eis = ei(means, sigmas, f_min)
-    costs = np.maximum(np.asarray(cost_predictions, dtype=float), cost_floor)
-    return [
-        Candidate(point=points[i].copy(), ei=float(eis[i]), cost_pred=float(costs[i]))
-        for i in range(points.shape[0])
-    ]
+    return CandidateSet(
+        points=points,
+        ei=ei(means, np.sqrt(variances), f_min),
+        cost=np.maximum(np.asarray(cost_predictions, dtype=float), cost_floor),
+    )
 
 
 def propose(
@@ -467,8 +500,7 @@ def implied_alpha(sel: SelectionResult) -> float | None:
     matches the selection, and returns that run's midpoint. None when no
     grid value reproduces the choice.
     """
-    eis = np.array([c.ei for c in sel.candidates])
-    costs = np.array([c.cost_pred for c in sel.candidates])
+    eis, costs = sel.candidates.ei, sel.candidates.cost
     matches = np.zeros(len(IMPLIED_ALPHA_GRID), dtype=bool)
     for g, alpha in enumerate(IMPLIED_ALPHA_GRID):
         scores = eis / costs**alpha

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .acquisition import Candidate, ei, pareto_front
+from .acquisition import Candidate, ei, front_indices, score_candidates
 from .cost import CostModel
 from .surrogate import GPModel, gp_posterior_many
 
@@ -78,24 +78,6 @@ def ei_decomposition(
     )
 
 
-def rescore(
-    points: Sequence[np.ndarray],
-    model: GPModel,
-    cost_model: CostModel,
-    f_min: float,
-    cost_floor: float = 1e-6,
-) -> list[Candidate]:
-    """Score points under (new) surrogate and cost models."""
-    pts = np.array([np.asarray(p, float) for p in points])
-    means, variances = gp_posterior_many(model, pts)
-    eis = ei(means, np.sqrt(variances), f_min)
-    costs = np.maximum(cost_model.predict_unit(pts), cost_floor)
-    return [
-        Candidate(point=pts[i].copy(), ei=float(eis[i]), cost_pred=float(costs[i]))
-        for i in range(len(pts))
-    ]
-
-
 def front_persistence(
     prev: FrontSnapshot,
     model_t1: GPModel,
@@ -110,15 +92,18 @@ def front_persistence(
     model; it survives if it is non-dominated within the union of the
     re-scored previous front and the current candidate front.
     """
-    old = list(prev.front)
-    new_scores = rescore(
-        [c.point for c in old], model_t1, cost_model_t1, y_min_t1, cost_floor
+    old = prev.front
+    points = np.array([c.point for c in old], dtype=float)
+    new = score_candidates(
+        points, model_t1, cost_model_t1.predict_unit(points), y_min_t1, cost_floor
     )
-    union = new_scores + list(current_front)
-    surviving_ids = {id(c) for c in pareto_front(union)}
-    flags = tuple(id(c) in surviving_ids for c in new_scores)
+    union_ei = np.concatenate([new.ei, [c.ei for c in current_front]])
+    union_cost = np.concatenate([new.cost, [c.cost_pred for c in current_front]])
+    survivors = set(front_indices(union_ei, union_cost).tolist())
+    flags = tuple(i in survivors for i in range(len(old)))
     rescored = tuple(
-        ((c.ei, c.cost_pred), (n.ei, n.cost_pred)) for c, n in zip(old, new_scores)
+        ((c.ei, c.cost_pred), (float(e), float(k)))
+        for c, e, k in zip(old, new.ei, new.cost)
     )
     return PersistenceStat(
         survived=sum(flags), total=len(old), rescored=rescored, flags=flags

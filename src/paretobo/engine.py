@@ -344,7 +344,7 @@ def run(
             over_budget=tau is not None and cumulative > tau,
         )
         if sel is not None:
-            record.max_ei = max(c.ei for c in sel.candidates)
+            record.max_ei = float(sel.candidates.ei.max())
             record.chosen_ei = sel.chosen.ei
             record.chosen_cost_pred = sel.chosen.cost_pred
             record.cei_threshold = sel.threshold

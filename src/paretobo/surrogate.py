@@ -110,8 +110,14 @@ def _matern52(scaled_sq: np.ndarray, signal_variance: float) -> np.ndarray:
 
 
 def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
-    diff = X1[:, None, :] - X2[None, :, :]
-    scaled_sq = np.sum((diff / params.lengthscales) ** 2, axis=-1)
+    # Sum the scaled squared distance one dimension at a time, in dimension
+    # order, instead of building the (m, n, d) difference tensor.
+    scaled_sq = np.zeros((X1.shape[0], X2.shape[0]))
+    for k, lengthscale in enumerate(params.lengthscales):
+        diff = np.subtract.outer(X1[:, k], X2[:, k])
+        diff /= lengthscale
+        diff *= diff
+        scaled_sq += diff
     return _matern52(scaled_sq, params.signal_variance)
 
 

@@ -9,6 +9,7 @@ from paretobo.acquisition import (
     CEI,
     EI,
     Candidate,
+    CandidateSet,
     EIAlpha,
     EICool,
     EIpu,
@@ -18,6 +19,7 @@ from paretobo.acquisition import (
     ei,
     ei_cool_alpha,
     ei_gradients,
+    front_indices,
     generate_candidates,
     implied_alpha,
     kind_from_dict,
@@ -196,6 +198,108 @@ class TestParetoFront:
             fast = pareto_front(cands)
             oracle = brute_force_front(cands)
             assert {id(c) for c in fast} == {id(c) for c in oracle}
+
+
+def loop_front_indices(eis, costs):
+    """The former Python walk over cost groups, kept as the front reference."""
+    order = np.lexsort((-eis, costs))
+    front = []
+    best_cheaper = -math.inf
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and costs[order[j]] == costs[order[i]]:
+            j += 1
+        group = order[i:j]
+        group_max = eis[group[0]]
+        if group_max > best_cheaper:
+            front.extend(sorted(int(g) for g in group if eis[g] == group_max))
+        best_cheaper = max(best_cheaper, group_max)
+        i = j
+    return front
+
+
+def parity_sets(rng):
+    """Scored sets with ties, duplicates, all-zero EI and a single point."""
+    sets = []
+    for n in (1, 2, 7, 40, 300):
+        sets.append((rng.uniform(0, 1, size=n), rng.uniform(0.1, 5.0, size=n)))
+        sets.append(
+            (
+                rng.choice(np.linspace(0, 1, 4), size=n),
+                rng.choice(np.linspace(0.5, 2.0, 4), size=n),
+            )
+        )
+        sets.append((np.zeros(n), rng.choice([0.5, 1.0, 1.5], size=n)))
+    sets.append((np.array([0.0]), np.array([2.0])))
+    return sets
+
+
+class TestCandidateSetParity:
+    KINDS = (
+        EI(),
+        EIpu(),
+        EIAlpha(0.3),
+        EIAlpha(2.0),
+        EICool(total_budget=10.0, init_budget=1.0),
+        CEI(0.0),
+        CEI(0.5),
+        CEI(1.0),
+    )
+
+    @staticmethod
+    def as_both(eis, costs, rng):
+        points = rng.uniform(size=(len(eis), 3))
+        cands = [
+            Candidate(point=points[i], ei=float(eis[i]), cost_pred=float(costs[i]))
+            for i in range(len(eis))
+        ]
+        return cands, CandidateSet(points=points, ei=eis, cost=costs)
+
+    def test_front_matches_loop_reference(self):
+        rng = np.random.default_rng(21)
+        for eis, costs in parity_sets(rng):
+            expected = loop_front_indices(eis, costs)
+            assert front_indices(eis, costs).tolist() == expected
+            cands, scored = self.as_both(eis, costs, rng)
+            assert [id(c) for c in pareto_front(cands)] == [id(cands[i]) for i in expected]
+            front = pareto_front(scored)
+            assert [(c.ei, c.cost_pred) for c in front] == [
+                (float(eis[i]), float(costs[i])) for i in expected
+            ]
+            for c, i in zip(front, expected):
+                assert np.array_equal(c.point, scored.points[i])
+                assert c.point is not scored.points[i]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
+    def test_every_rule_agrees_on_lists_and_sets(self, kind):
+        rng = np.random.default_rng(22)
+        for eis, costs in parity_sets(rng):
+            cands, scored = self.as_both(eis, costs, rng)
+            for spent in (1.0, 5.5):
+                a = select(kind, cands, spent=spent)
+                b = select(kind, scored, spent=spent)
+                assert a.chosen_index == b.chosen_index
+                assert a.chosen is cands[a.chosen_index]
+                assert (b.chosen.ei, b.chosen.cost_pred) == (
+                    a.chosen.ei,
+                    a.chosen.cost_pred,
+                )
+                assert a.threshold == b.threshold
+                assert a.degenerate == b.degenerate
+                assert [(c.ei, c.cost_pred) for c in a.front] == [
+                    (c.ei, c.cost_pred) for c in b.front
+                ]
+                assert implied_alpha(a) == implied_alpha(b)
+
+    def test_empty_set_rejected(self):
+        empty = CandidateSet(points=np.zeros((0, 2)), ei=np.zeros(0), cost=np.zeros(0))
+        with pytest.raises(UsageError):
+            pareto_front(empty)
+        with pytest.raises(UsageError):
+            select(EI(), empty)
+        with pytest.raises(UsageError):
+            cei_select(empty, 0.5)
 
 
 class TestCEISelect:
@@ -387,10 +491,15 @@ class TestPropose:
                     kind, model, cost_model, X, y, np.ones(len(y)),
                     candidate_count=64, rng=rng,
                 )
-                assert not any(
-                    dominates(c, sel.chosen) == "strict" for c in sel.candidates
+                scored = sel.candidates
+                assert not np.any(
+                    (scored.cost <= sel.chosen.cost_pred)
+                    & (scored.ei >= sel.chosen.ei)
+                    & ((scored.cost < sel.chosen.cost_pred) | (scored.ei > sel.chosen.ei))
                 )
-                assert sel.front == pareto_front(sel.candidates)
+                assert [(c.ei, c.cost_pred) for c in sel.front] == [
+                    (c.ei, c.cost_pred) for c in pareto_front(scored)
+                ]
 
     def test_cost_floor_applied(self):
         rng, X, y, model, _ = self.toy_setup(0)

@@ -3,15 +3,28 @@
 import numpy as np
 import pytest
 
-from paretobo.acquisition import Candidate, dominates, ei, pareto_front
+from paretobo.acquisition import (
+    Candidate,
+    dominates,
+    ei,
+    pareto_front,
+    score_candidates,
+)
 from paretobo.cost import ConstantCost
 from paretobo.diagnostics import (
     FrontSnapshot,
     ei_decomposition,
     front_persistence,
-    rescore,
 )
 from paretobo.surrogate import KernelParams, build_model, gp_posterior
+
+
+def scored(points, model, cost_model, f_min):
+    """Candidates at ``points`` under the given models, floor 1e-6."""
+    points = np.asarray(points, dtype=float)
+    return score_candidates(
+        points, model, cost_model.predict_unit(points), f_min, cost_floor=1e-6
+    )
 
 
 def toy_model(seed, n=6):
@@ -67,7 +80,7 @@ class TestDecomposition:
 class TestPersistence:
     @staticmethod
     def snapshot_from(model, cost_model, points, f_min, iteration=1):
-        cands = rescore(points, model, cost_model, f_min)
+        cands = scored(points, model, cost_model, f_min)
         return FrontSnapshot(iteration=iteration, front=tuple(pareto_front(cands)))
 
     def test_unchanged_models_full_survival(self):
@@ -107,11 +120,12 @@ class TestPersistence:
             cost_model = ConstantCost(log_cost=0.2, _space=None)
             points = rng.uniform(size=(15, 2))
             snap = self.snapshot_from(m_t, cost_model, points, 0.5)
-            current = rescore(rng.uniform(size=(15, 2)), m_t1, cost_model, 0.2)
+            current = scored(rng.uniform(size=(15, 2)), m_t1, cost_model, 0.2)
             current_front = pareto_front(current)
             stat = front_persistence(snap, m_t1, cost_model, 0.2, current_front)
 
-            rescored = rescore([c.point for c in snap.front], m_t1, cost_model, 0.2)
+            new = scored([c.point for c in snap.front], m_t1, cost_model, 0.2)
+            rescored = [new[i] for i in range(len(new))]
             union = rescored + list(current_front)
             expected = sum(
                 1

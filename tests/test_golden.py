@@ -1,0 +1,83 @@
+"""Golden trace digests: fixed configs must keep writing the same bytes.
+
+Each digest is the SHA-256 of a short trace written by ``Trace.write``. A
+change that is meant to be lossless (a refactor or a speed-up) keeps every
+digest; a change that alters trace bytes on purpose updates the digest here
+and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+
+from paretobo.acquisition import CEI, EIpu
+from paretobo.bench import load_tabular
+from paretobo.cli import build_problem
+from paretobo.engine import Iterations, RunConfig, run
+from paretobo.space import from_unit, xgboost_space
+
+# Criterion 12's configuration: branin/expensive, CEI(0.5), 15 evaluations.
+CEI_BRANIN_SHA = (
+    "8fb51ee8e8f58adddf91a696eec81bfe583409add80706b6b700a67e0d7f95ef"
+)
+# hartmann3/expensive, EIpu, 12 evaluations, 2048 candidates, persistence on.
+EIPU_HARTMANN3_SHA = (
+    "b95b5e03e22e152b2163b80e0c82504fb97e70b49c024dcb4e9bc6921331bfdc"
+)
+# 7-d tabular replay on the XGBoost space with the gplv3 cost model.
+REPLAY7D_SHA = (
+    "48b73acf79512f155a53c0e2fec99dbe9109324195fc6e1195c8318fe04953dd"
+)
+
+
+def _digest(trace, tmp_path) -> str:
+    path = tmp_path / "trace.jsonl"
+    trace.write(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _replay_table(path, rows=120):
+    """A seeded 7-d table: smooth objective, log-linear cost, native units."""
+    space = xgboost_space()
+    rng = np.random.default_rng(7)
+    units = rng.uniform(size=(rows, len(space)))
+    lines = [",".join(space.names + ["y", "cost"])]
+    for u in units:
+        config = from_unit(space, u)
+        y = float(np.sum((u - 0.4) ** 2) + 0.1 * np.sin(6.0 * u[1]))
+        cost = float(np.exp(1.5 * u[0] + 0.8 * u[6] - 0.5 * u[5]))
+        lines.append(",".join(repr(float(v)) for v in [*config, y, cost]))
+    path.write_text("\n".join(lines) + "\n")
+    return space
+
+
+def test_cei_branin_expensive_digest(tmp_path):
+    cfg = RunConfig(
+        seed=11, acquisition=CEI(0.5), budget=Iterations(15), candidate_count=128
+    )
+    trace = run(build_problem("branin/expensive", 0.0, seed=11), cfg)
+    assert _digest(trace, tmp_path) == CEI_BRANIN_SHA
+
+
+def test_eipu_hartmann3_persistence_digest(tmp_path):
+    cfg = RunConfig(
+        seed=5, acquisition=EIpu(), budget=Iterations(12), candidate_count=2048
+    )
+    problem = build_problem("hartmann3/expensive", 0.0, seed=5)
+    trace = run(problem, cfg, track_persistence=True)
+    assert any(r.persistence is not None for r in trace.records)
+    assert _digest(trace, tmp_path) == EIPU_HARTMANN3_SHA
+
+
+def test_replay7d_gplv3_digest(tmp_path):
+    space = _replay_table(tmp_path / "table.csv")
+    problem = load_tabular(tmp_path / "table.csv", space)
+    cfg = RunConfig(
+        seed=2,
+        acquisition=CEI(0.5),
+        cost_model="gplv3",
+        budget=Iterations(12),
+        candidate_count=64,
+    )
+    trace = run(problem, cfg)
+    assert _digest(trace, tmp_path) == REPLAY7D_SHA

@@ -16,6 +16,7 @@ from paretobo.surrogate import (
     KernelParams,
     _cross_kernel,
     _default_start,
+    _matern52,
     _mll_value_and_grad,
     _random_start,
     _standardize,
@@ -353,3 +354,25 @@ class TestLapackPathMatchesReference:
         assert [v.hex() for v in model.fit_info["init_mlls"]] == [
             v.hex() for v in expected
         ]
+
+
+def reference_cross_kernel(X1, X2, params):
+    """The (m, n, d) difference-tensor form of the cross-kernel."""
+    diff = X1[:, None, :] - X2[None, :, :]
+    scaled_sq = np.sum((diff / params.lengthscales) ** 2, axis=-1)
+    return _matern52(scaled_sq, params.signal_variance)
+
+
+class TestCrossKernel:
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_bitwise_equal_to_reference(self, d):
+        rng = np.random.default_rng(100 + d)
+        for m, n in ((1, 1), (3, 17), (257, 40)):
+            params = KernelParams(
+                float(rng.uniform(0.1, 3.0)), rng.uniform(0.01, 2.0, size=d), 1e-3
+            )
+            X1 = rng.uniform(size=(m, d))
+            X2 = rng.uniform(size=(n, d))
+            got = _cross_kernel(X1, X2, params)
+            assert got.shape == (m, n)
+            assert np.array_equal(got, reference_cross_kernel(X1, X2, params))
