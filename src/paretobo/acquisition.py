@@ -362,6 +362,17 @@ def generate_candidates(
     return cands
 
 
+def cost_floor_for(observed_costs: np.ndarray) -> float:
+    """Lower clamp for predicted costs: max(1e-6, 0.01 * min observed cost).
+
+    The clamp avoids the divide-by-vanishing-cost pathology of
+    cost-normalized acquisitions; 1e-6 before any cost is observed.
+    """
+    if len(observed_costs) == 0:
+        return 1e-6
+    return max(1e-6, 0.01 * float(np.min(observed_costs)))
+
+
 def score_candidates(
     points: np.ndarray,
     model: GPModel,
@@ -384,7 +395,7 @@ def propose(
     cost_model,
     history_points: np.ndarray,
     history_targets: np.ndarray,
-    observed_costs: np.ndarray,
+    cost_floor: float,
     candidate_count: int,
     rng: np.random.Generator,
     spent: float = 0.0,
@@ -395,9 +406,8 @@ def propose(
     """One acquisition step: generate, score, and select a candidate.
 
     ``cost_model`` must expose ``predict_unit(points) -> costs`` over unit
-    coordinates. Predicted costs are clamped below at
-    max(1e-6, 0.01 * min observed cost) to avoid the divide-by-vanishing-cost
-    pathology of cost-normalized acquisitions.
+    coordinates. Predicted costs are clamped below at ``cost_floor`` (see
+    :func:`cost_floor_for`).
     """
     points = generate_candidates(
         model.train_inputs.shape[1],
@@ -409,9 +419,6 @@ def propose(
         perturbation_sd,
     )
     f_min = float(np.min(history_targets))
-    cost_floor = 1e-6
-    if len(observed_costs) > 0:
-        cost_floor = max(1e-6, 0.01 * float(np.min(observed_costs)))
     cost_pred = cost_model.predict_unit(points)
     cands = score_candidates(points, model, cost_pred, f_min, cost_floor)
     return select(kind, cands, spent)

@@ -84,12 +84,13 @@ def front_persistence(
     cost_model_t1: CostModel,
     y_min_t1: float,
     current_front: Sequence[Candidate],
-    cost_floor: float = 1e-6,
+    cost_floor: float,
 ) -> PersistenceStat:
     """Survival of the previous front under the new models.
 
     Each previous front point is re-scored with the new surrogate and cost
-    model; it survives if it is non-dominated within the union of the
+    model, its predicted cost clamped at ``cost_floor`` as the current
+    candidates' were; it survives if it is non-dominated within the union of the
     re-scored previous front and the current candidate front.
     """
     old = prev.front

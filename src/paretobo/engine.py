@@ -400,13 +400,14 @@ def run(
         if cost_model is None:
             cost_model = fit_cost_model_unit(cfg.cost_model, space, X, costs, rng)
 
+        cost_floor = acq.cost_floor_for(costs)
         sel = acq.propose(
             resolved_kind,
             model,
             cost_model,
             history_points=X,
             history_targets=ys,
-            observed_costs=costs,
+            cost_floor=cost_floor,
             candidate_count=cfg.candidate_count,
             rng=rng,
             spent=cumulative,
@@ -423,6 +424,7 @@ def run(
                 cost_model,
                 float(np.min(ys)),
                 sel.front,
+                cost_floor,
             )
         prev_front = tuple(sel.front)
 

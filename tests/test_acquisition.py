@@ -15,6 +15,7 @@ from paretobo.acquisition import (
     EIpu,
     IMPLIED_ALPHA_GRID,
     cei_select,
+    cost_floor_for,
     dominates,
     ei,
     ei_cool_alpha,
@@ -488,7 +489,7 @@ class TestPropose:
             rng, X, y, model, cost_model = self.toy_setup(seed)
             for kind in (EI(), EIpu(), EIAlpha(0.3), CEI(0.5)):
                 sel = propose(
-                    kind, model, cost_model, X, y, np.ones(len(y)),
+                    kind, model, cost_model, X, y, cost_floor=0.01,
                     candidate_count=64, rng=rng,
                 )
                 scored = sel.candidates
@@ -508,11 +509,17 @@ class TestPropose:
             def predict_unit(self, pts, meta=None):
                 return np.full(pts.shape[0], 1e-12)
 
+        floor = cost_floor_for(np.array([2.0, 3.0]))
+        assert floor == 0.02  # 0.01 * min cost
         sel = propose(
-            EIpu(), model, TinyCost(), X, y, np.full(len(y), 2.0),
+            EIpu(), model, TinyCost(), X, y, cost_floor=floor,
             candidate_count=32, rng=rng,
         )
-        assert all(c.cost_pred >= 0.02 for c in sel.candidates)  # 0.01 * min cost
+        assert np.all(sel.candidates.cost == floor)
+
+    def test_cost_floor_bounds(self):
+        assert cost_floor_for(np.array([])) == 1e-6
+        assert cost_floor_for(np.array([1e-5, 3.0])) == 1e-6
 
 
 class TestKindCodecs:

@@ -90,7 +90,7 @@ class TestPersistence:
         points = rng.uniform(size=(12, 2))
         f_min = 0.0
         snap = self.snapshot_from(model, cost_model, points, f_min)
-        stat = front_persistence(snap, model, cost_model, f_min, snap.front)
+        stat = front_persistence(snap, model, cost_model, f_min, snap.front, 1e-6)
         assert stat.survived == stat.total == len(snap.front)
 
     def test_constructed_dethroning(self):
@@ -108,6 +108,7 @@ class TestPersistence:
             cost_model,
             f_min,
             [challenger],
+            cost_floor=1e-6,
         )
         assert stat.total == 1
         assert stat.survived == 0
@@ -122,7 +123,7 @@ class TestPersistence:
             snap = self.snapshot_from(m_t, cost_model, points, 0.5)
             current = scored(rng.uniform(size=(15, 2)), m_t1, cost_model, 0.2)
             current_front = pareto_front(current)
-            stat = front_persistence(snap, m_t1, cost_model, 0.2, current_front)
+            stat = front_persistence(snap, m_t1, cost_model, 0.2, current_front, 1e-6)
 
             new = scored([c.point for c in snap.front], m_t1, cost_model, 0.2)
             rescored = [new[i] for i in range(len(new))]

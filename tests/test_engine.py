@@ -290,6 +290,29 @@ class TestTraceIO:
         for r in bo[1:]:
             assert 0 <= r.persistence.survived <= r.persistence.total
 
+    def test_persistence_rescores_under_the_proposal_floor(self):
+        class TinyCost:  # predictions between 1e-6 and the proposal's floor
+            def predict_unit(self, points, meta=None):
+                return 1e-4 * (1.0 + points[:, 0])
+
+        trace = run(
+            quick_problem(),
+            quick_config(budget=Iterations(8)),
+            fixed_cost_model=TinyCost(),
+            track_persistence=True,
+        )
+        checked = 0
+        for r in trace.records:
+            if r.persistence is None:
+                continue
+            seen = [p.cost for p in trace.records[: r.iteration - 1] if not p.failed]
+            floor = 0.01 * min(seen)
+            assert floor > 1e-4 * 2.0
+            assert r.chosen_cost_pred == floor
+            assert all(new[1] == floor for _, new in r.persistence.rescored)
+            checked += 1
+        assert checked == 2
+
 
 class TestTabularRuns:
     def test_run_snaps_to_table_rows(self, tmp_path):
