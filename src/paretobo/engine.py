@@ -295,6 +295,12 @@ def run(
     ``fixed_cost_model`` (e.g. a transfer model fitted offline) disables the
     per-iteration cost-model refit. ``track_persistence`` re-scores each
     iteration's previous front under the new models for front diagnostics.
+
+    An evaluation that raises, returns a non-finite ``y``, or returns a cost
+    that is not positive and finite becomes a failed row with ``y = inf``,
+    left out of both model fits. It is charged its cost when that cost is
+    valid, and otherwise the chosen point's predicted cost (the geometric
+    mean of the valid observed costs, or 1, before any prediction).
     """
     rng = np.random.default_rng(cfg.seed)
     space = problem.space
@@ -317,16 +323,21 @@ def run(
         resolved_kind: AcquisitionKind | None = None,
     ) -> IterationRecord:
         nonlocal cumulative, incumbent
-        cost_pred = sel.chosen.cost_pred if sel is not None else None
         try:
             y, cost = problem.evaluate(point)
-            failed = False
         except Exception:
+            y, cost = math.inf, math.nan
+        # A failed evaluation keeps a valid cost; any other is charged a
+        # stand-in. Neither model sees a failed row.
+        cost_valid = math.isfinite(cost) and cost > 0
+        failed = not (cost_valid and math.isfinite(y))
+        if failed:
             y = math.inf
+        if not cost_valid:
             cost = _failure_cost(
-                cost_pred, [o.cost for o in observations if not o.failed]
+                sel.chosen.cost_pred if sel is not None else None,
+                [o.cost for o in observations if not o.failed],
             )
-            failed = True
         cumulative += cost
         if not failed and y < incumbent:
             incumbent = y

@@ -183,6 +183,58 @@ class TestFailures:
         assert trace.final_incumbent == 1.0
 
 
+def sabotaged(problem, call, y=None, cost=None):
+    """``problem`` with its ``call``-th evaluation's y and/or cost replaced."""
+    calls = {"i": 0}
+
+    def evaluate(u):
+        calls["i"] += 1
+        y_true, cost_true = problem.evaluate(u)
+        if calls["i"] != call:
+            return y_true, cost_true
+        return (
+            y_true if y is None else y,
+            cost_true if cost is None else cost,
+        )
+
+    return BlackBox(space=problem.space, evaluate=evaluate, name="sabotaged")
+
+
+class TestBlackBoxContract:
+    CONFIG = dict(budget=Iterations(12), candidate_count=64)
+
+    @pytest.mark.parametrize("bad_y", [math.inf, -math.inf, math.nan])
+    def test_non_finite_y_is_a_failed_row_charged_its_cost(self, bad_y):
+        trace = run(sabotaged(quick_problem(), 3, y=bad_y), quick_config(**self.CONFIG))
+        clean = run(quick_problem(), quick_config(**self.CONFIG))
+        assert len(trace) == 12
+        row = trace.records[2]
+        assert row.failed and row.y == math.inf
+        assert row.cost == clean.records[2].cost
+        assert [r.failed for r in trace.records].count(True) == 1
+        assert trace.final_incumbent < math.inf
+
+    @pytest.mark.parametrize("bad_cost", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid_cost_is_a_failed_row_charged_a_stand_in(self, bad_cost):
+        trace = run(
+            sabotaged(quick_problem(), 3, cost=bad_cost), quick_config(**self.CONFIG)
+        )
+        assert len(trace) == 12
+        row = trace.records[2]
+        assert row.failed and row.y == math.inf
+        # init-design row: the geometric mean of the two valid costs so far
+        first_two = [r.cost for r in trace.records[:2]]
+        assert row.cost == pytest.approx(math.exp(np.mean(np.log(first_two))))
+        assert row.cumulative_cost == pytest.approx(sum(first_two) + row.cost)
+        assert [r.failed for r in trace.records].count(True) == 1
+
+    def test_invalid_cost_in_bo_phase_charged_predicted_cost(self):
+        trace = run(sabotaged(quick_problem(), 8, cost=0.0), quick_config(**self.CONFIG))
+        row = trace.records[7]
+        assert row.phase == "bo" and row.failed
+        assert row.cost == row.chosen_cost_pred
+
+
 class TestEICool:
     def test_requires_total_budget_with_iteration_cap(self):
         with pytest.raises(ConfigError):
