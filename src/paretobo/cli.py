@@ -24,8 +24,11 @@ import argparse
 import csv
 import json
 import math
+import multiprocessing
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -174,6 +177,36 @@ def _execute_task(task: RunTask) -> dict:
     return row
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_for_children():
+    """Child processes started inside inherit one BLAS thread, unless set.
+
+    The matrices are small, so several BLAS threads per worker only compete
+    for the cores the workers already use. Variables the user set win.
+    """
+    added = [var for var in BLAS_THREAD_VARS if var not in os.environ]
+    for var in added:
+        os.environ[var] = "1"
+    try:
+        yield
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
+def _map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]``, in ``jobs`` spawned worker processes if > 1."""
+    if jobs <= 1:
+        return [fn(task) for task in tasks]
+    with _one_blas_thread_for_children(), ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def run_grid(
     methods: list[acq.AcquisitionKind],
     problems: list[str],
@@ -186,7 +219,12 @@ def run_grid(
     candidate_count: int = acq.DEFAULT_CANDIDATE_COUNT,
     jobs: int = 1,
 ) -> list[dict]:
-    """Run methods x problems x seeds, write traces, return the manifest."""
+    """Run methods x problems x seeds, write traces, return the manifest.
+
+    With ``jobs > 1`` the runs execute in spawned worker processes, so a
+    script calling this must guard its entry point with
+    ``if __name__ == "__main__"``.
+    """
     tasks = [
         RunTask(
             method_id=acq.kind_id(kind),
@@ -204,11 +242,7 @@ def run_grid(
         for problem in problems
         for seed in range(seeds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_execute_task, tasks))
-    else:
-        rows = [_execute_task(task) for task in tasks]
+    rows = _map_tasks(_execute_task, tasks, jobs)
     rows.sort(key=lambda r: (r["method"], r["problem"], r["seed"]))
     _write_csv(out_dir / "runs.csv", rows)
     return rows

@@ -3,17 +3,22 @@
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from paretobo.acquisition import CEI, EI
 from paretobo.cli import (
+    BLAS_THREAD_VARS,
+    _map_tasks,
     aggregate_ranks,
     aggregate_tradeoff,
     bootstrap_ci,
     build_problem,
     main,
+    run_grid,
     suite_problems,
 )
 from paretobo.engine import Trace, IterationRecord
@@ -290,3 +295,38 @@ class TestCommands:
         err = capsys.readouterr().err.strip()
         record = json.loads(err)
         assert record["error"] == "ConfigError"
+
+
+class TestParallelGrid:
+    def test_two_jobs_write_what_one_job_writes(self, tmp_path):
+        grid = dict(
+            methods=[EI(), CEI(0.5)],
+            problems=["branin/explinear"],
+            seeds=1,
+            iterations=8,
+            candidate_count=64,
+        )
+        run_grid(out_dir=tmp_path / "serial", jobs=1, **grid)
+        run_grid(out_dir=tmp_path / "parallel", jobs=2, **grid)
+        serial = sorted((tmp_path / "serial").rglob("*.jsonl"))
+        assert len(serial) == 2
+        for path in serial:
+            twin = tmp_path / "parallel" / path.relative_to(tmp_path / "serial")
+            assert twin.read_bytes() == path.read_bytes()
+        csv_serial = (tmp_path / "serial" / "runs.csv").read_text()
+        csv_parallel = (tmp_path / "parallel" / "runs.csv").read_text()
+        assert csv_parallel == csv_serial.replace(
+            str(tmp_path / "serial"), str(tmp_path / "parallel")
+        )
+
+    def test_workers_start_with_one_blas_thread(self, monkeypatch):
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        seen = _map_tasks(os.getenv, list(BLAS_THREAD_VARS), jobs=2)
+        assert seen == ["1"] * len(BLAS_THREAD_VARS)
+        assert not any(var in os.environ for var in BLAS_THREAD_VARS)
+
+    def test_a_thread_count_the_user_set_wins(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert _map_tasks(os.getenv, ["OPENBLAS_NUM_THREADS"] * 2, jobs=2) == ["2", "2"]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
