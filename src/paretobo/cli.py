@@ -768,7 +768,7 @@ def _add_shared(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     parser.add_argument("--noise", type=float, default=0.0, help="objective noise sd")
     parser.add_argument("--cost-model", default="lv3", choices=ONLINE_COST_KINDS)
-    parser.add_argument("--candidates", type=int, default=1024)
+    parser.add_argument("--candidates", type=int, default=acq.DEFAULT_CANDIDATE_COUNT)
 
 
 def build_parser() -> argparse.ArgumentParser:
