@@ -270,7 +270,7 @@ class TestCandidateSetParity:
             ]
             for c, i in zip(front, expected):
                 assert np.array_equal(c.point, scored.points[i])
-                assert c.point is not scored.points[i]
+                assert not np.shares_memory(c.point, scored.points)
 
     @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
     def test_every_rule_agrees_on_lists_and_sets(self, kind):
