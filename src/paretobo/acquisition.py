@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -424,41 +424,34 @@ def propose(
     return select(kind, cands, spent)
 
 
+# Encoded name of each acquisition kind; its other keys are the class's fields.
+_KIND_CLASSES: dict[str, type] = {
+    "ei": EI,
+    "eipu": EIpu,
+    "ei_alpha": EIAlpha,
+    "ei_cool": EICool,
+    "cei": CEI,
+}
+_KIND_NAMES = {cls: name for name, cls in _KIND_CLASSES.items()}
+
+
 def kind_to_dict(kind: AcquisitionKind) -> dict:
     """JSON-friendly encoding of an acquisition kind."""
-    if isinstance(kind, EI):
-        return {"kind": "ei"}
-    if isinstance(kind, EIpu):
-        return {"kind": "eipu"}
-    if isinstance(kind, EIAlpha):
-        return {"kind": "ei_alpha", "alpha": kind.alpha}
-    if isinstance(kind, EICool):
-        return {
-            "kind": "ei_cool",
-            "total_budget": kind.total_budget,
-            "init_budget": kind.init_budget,
-        }
-    if isinstance(kind, CEI):
-        return {"kind": "cei", "lam": kind.lam}
-    raise ConfigError(f"unknown acquisition kind {kind!r}")
+    if type(kind) not in _KIND_NAMES:
+        raise ConfigError(f"unknown acquisition kind {kind!r}")
+    return {"kind": _KIND_NAMES[type(kind)], **asdict(kind)}
 
 
 def kind_from_dict(payload: dict) -> AcquisitionKind:
-    name = payload.get("kind")
-    if name == "ei":
-        return EI()
-    if name == "eipu":
-        return EIpu()
-    if name == "ei_alpha":
-        return EIAlpha(alpha=float(payload["alpha"]))
-    if name == "ei_cool":
-        return EICool(
-            total_budget=payload.get("total_budget"),
-            init_budget=payload.get("init_budget"),
-        )
-    if name == "cei":
-        return CEI(lam=float(payload["lam"]))
-    raise ConfigError(f"unknown acquisition kind {payload!r}")
+    """Inverse of :func:`kind_to_dict`."""
+    fields = dict(payload)
+    cls = _KIND_CLASSES.get(fields.pop("kind", None))
+    if cls is None:
+        raise ConfigError(f"unknown acquisition kind {payload!r}")
+    try:
+        return cls(**fields)
+    except TypeError as err:
+        raise ConfigError(f"bad acquisition fields {payload!r}: {err}") from None
 
 
 def parse_kind(text: str) -> AcquisitionKind:

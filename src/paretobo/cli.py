@@ -54,10 +54,10 @@ from .cost import (
     fit_cost_model_unit,
     load_cost_csv,
     transfer_fit,
-    _log_costs,
-    _unit_matrix,
+    unit_matrix,
 )
 from .engine import (
+    Budget,
     Iterations,
     RunConfig,
     SimulatedCost,
@@ -124,53 +124,26 @@ def suite_problems(suite: str) -> list[str]:
 
 @dataclass(frozen=True)
 class RunTask:
-    method_id: str
-    acquisition: dict
     problem_id: str
-    seed: int
     noise_sd: float
-    iterations: int | None
-    cost_budget: float | None
-    cost_model: str
-    candidate_count: int
+    config: RunConfig
     out_dir: str
-
-    def run_config(self) -> RunConfig:
-        budget = (
-            Iterations(self.iterations)
-            if self.iterations is not None
-            else SimulatedCost(self.cost_budget)
-        )
-        return RunConfig(
-            seed=self.seed,
-            acquisition=acq.kind_from_dict(self.acquisition),
-            cost_model=self.cost_model,
-            budget=budget,
-            candidate_count=self.candidate_count,
-        )
-
-    def trace_path(self) -> Path:
-        safe_problem = self.problem_id.replace("/", "_")
-        return (
-            Path(self.out_dir)
-            / "traces"
-            / self.method_id
-            / safe_problem
-            / f"seed{self.seed}.jsonl"
-        )
 
 
 def _execute_task(task: RunTask) -> dict:
-    problem = build_problem(task.problem_id, task.noise_sd, seed=task.seed)
-    trace = run(problem, task.run_config())
-    path = task.trace_path()
+    cfg = task.config
+    method = acq.kind_id(cfg.acquisition)
+    problem = build_problem(task.problem_id, task.noise_sd, seed=cfg.seed)
+    trace = run(problem, cfg)
+    safe_problem = task.problem_id.replace("/", "_")
+    path = Path(task.out_dir, "traces", method, safe_problem, f"seed{cfg.seed}.jsonl")
     path.parent.mkdir(parents=True, exist_ok=True)
     trace.write(path)
     row = summary_row(trace)
     row.update(
-        method=task.method_id,
+        method=method,
         problem=task.problem_id,
-        seed=task.seed,
+        seed=cfg.seed,
         trace=str(path),
         f_opt=problem.f_opt,
     )
@@ -225,17 +198,20 @@ def run_grid(
     script calling this must guard its entry point with
     ``if __name__ == "__main__"``.
     """
+    budget = (
+        Iterations(iterations) if iterations is not None else SimulatedCost(cost_budget)
+    )
     tasks = [
         RunTask(
-            method_id=acq.kind_id(kind),
-            acquisition=acq.kind_to_dict(kind),
             problem_id=problem,
-            seed=seed,
             noise_sd=noise_sd,
-            iterations=iterations,
-            cost_budget=cost_budget,
-            cost_model=cost_model,
-            candidate_count=candidate_count,
+            config=RunConfig(
+                seed=seed,
+                acquisition=kind,
+                cost_model=cost_model,
+                budget=budget,
+                candidate_count=candidate_count,
+            ),
             out_dir=str(out_dir),
         )
         for kind in methods
@@ -246,6 +222,25 @@ def run_grid(
     rows.sort(key=lambda r: (r["method"], r["problem"], r["seed"]))
     _write_csv(out_dir / "runs.csv", rows)
     return rows
+
+
+def _run_suite_grid(
+    args: argparse.Namespace, methods: list[acq.AcquisitionKind]
+) -> list[dict]:
+    """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids."""
+    methods = methods + [acq.EIAlpha(a) for a in _parse_floats(args.alphas) if a > 0]
+    methods += [acq.CEI(l) for l in _parse_floats(args.lambdas)]
+    return run_grid(
+        methods,
+        suite_problems(args.suite),
+        args.seeds,
+        Path(args.out),
+        iterations=args.iters,
+        noise_sd=args.noise,
+        cost_model=args.cost_model,
+        candidate_count=args.candidates,
+        jobs=args.jobs,
+    )
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
@@ -341,22 +336,7 @@ def aggregate_tradeoff(rows: list[dict]) -> list[dict]:
 
 def cmd_biopt(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
-    methods: list[acq.AcquisitionKind] = [acq.EI()]
-    methods += [acq.EIAlpha(a) for a in _parse_floats(args.alphas) if a > 0]
-    methods += [acq.CEI(l) for l in _parse_floats(args.lambdas)]
-    if args.eipu:
-        methods.append(acq.EIpu())
-    rows = run_grid(
-        methods,
-        suite_problems(args.suite),
-        args.seeds,
-        out_dir,
-        iterations=args.iters,
-        noise_sd=args.noise,
-        cost_model=args.cost_model,
-        candidate_count=args.candidates,
-        jobs=args.jobs,
-    )
+    rows = _run_suite_grid(args, [acq.EI()] + ([acq.EIpu()] if args.eipu else []))
     table = aggregate_tradeoff(rows)
     _write_csv(out_dir / "tradeoff.csv", table)
     (out_dir / "tradeoff_meta.json").write_text(
@@ -449,45 +429,29 @@ def aggregate_ranks(
 
 
 def cmd_time_alloc(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
     if args.runs:
         manifest = _read_manifest(Path(args.runs))
     else:
-        methods: list[acq.AcquisitionKind] = [acq.EI(), acq.EIpu()]
-        methods += [acq.EIAlpha(a) for a in _parse_floats(args.alphas) if a > 0]
-        methods += [acq.CEI(l) for l in _parse_floats(args.lambdas)]
-        manifest = run_grid(
-            methods,
-            suite_problems(args.suite),
-            args.seeds,
-            out_dir,
-            iterations=args.iters,
-            noise_sd=args.noise,
-            cost_model=args.cost_model,
-            candidate_count=args.candidates,
-            jobs=args.jobs,
-        )
-    table = aggregate_ranks(manifest, tuple(_parse_floats(args.multiples)))
-    _write_csv(out_dir / "ranks.csv", table)
-    for row in table:
-        print(
-            f"{row['multiple_pct']:7.0f}% {row['method']:>12}: "
-            f"rank {row['mean_rank']:.3f} [{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]"
-        )
+        manifest = _run_suite_grid(args, [acq.EI(), acq.EIpu()])
+    _write_ranks(manifest, args.multiples, Path(args.out))
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     manifest = _read_manifest(Path(args.runs))
-    table = aggregate_ranks(manifest, tuple(_parse_floats(args.multiples)))
-    out_dir = Path(args.out) if args.out else Path(args.runs)
+    _write_ranks(manifest, args.multiples, Path(args.out or args.runs))
+    return 0
+
+
+def _write_ranks(manifest: list[dict], multiples: str, out_dir: Path) -> None:
+    """Aggregate ranks, write ``ranks.csv`` and print the table."""
+    table = aggregate_ranks(manifest, tuple(_parse_floats(multiples)))
     _write_csv(out_dir / "ranks.csv", table)
     for row in table:
         print(
             f"{row['multiple_pct']:7.0f}% {row['method']:>12}: "
             f"rank {row['mean_rank']:.3f} [{row['ci_lo']:.3f}, {row['ci_hi']:.3f}]"
         )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +487,18 @@ def cost_model_sweep(
             pool, eval_space = samples_loader(rng)
             test = pool[-test_size:] if len(pool) > test_size else pool[len(pool) // 2 :]
             train_pool = pool[: len(pool) - len(test)]
-        U_test = _unit_matrix(eval_space, test)
-        log_test = _log_costs(test)
         for n_train in train_sizes:
             if n_train > len(train_pool):
                 skipped.add(("*", n_train))
                 continue
             train = train_pool[:n_train]
-            U = _unit_matrix(eval_space, train)
+            U = unit_matrix(eval_space, train)
             costs = np.array([s.cost for s in train])
             for kind in kinds:
                 model = fit_cost_model_unit(
                     kind, eval_space, U, costs, np.random.default_rng(seed)
                 )
-                pred = model.predict_log_unit(U_test)
-                rmse = float(np.sqrt(np.mean((pred - log_test) ** 2)))
-                results.setdefault((kind, n_train), []).append(rmse)
+                results.setdefault((kind, n_train), []).append(cost_rmse(model, test))
     for kind, n_train in sorted(skipped):
         print(
             f"warning: n_train={n_train} exceeds the dataset size; skipped",
@@ -631,17 +591,14 @@ def cmd_cost_eval(args: argparse.Namespace) -> int:
 def _marker_rows(record) -> list[dict]:
     """EI_alpha maximizers over the stored front (argmax is front-invariant)."""
     rows = []
-    eis = np.array([c.ei for c in record.front])
-    costs = np.array([c.cost_pred for c in record.front])
     for alpha in MARKER_ALPHAS:
-        scores = eis / costs**alpha
-        idx = acq._argmax_with_tiebreak(scores, costs)
+        chosen = acq.select(acq.EIAlpha(alpha), record.front).chosen
         rows.append(
             {
                 "iteration": record.iteration,
                 "alpha": alpha,
-                "ei": float(eis[idx]),
-                "cost": float(costs[idx]),
+                "ei": float(chosen.ei),
+                "cost": float(chosen.cost_pred),
             }
         )
     return rows
@@ -651,13 +608,7 @@ def cmd_pareto_trace(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(args.problem, args.noise, seed=args.seed)
-    cfg = RunConfig(
-        seed=args.seed,
-        acquisition=acq.parse_kind(args.acq),
-        cost_model=args.cost_model,
-        budget=Iterations(args.iters),
-        candidate_count=args.candidates,
-    )
+    cfg = _run_config(args, Iterations(args.iters))
     trace = run(problem, cfg, track_persistence=True)
     trace.write(out_dir / "trace.jsonl")
 
@@ -730,14 +681,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     budget = (
         SimulatedCost(args.budget) if args.budget is not None else Iterations(args.iters)
     )
-    cfg = RunConfig(
-        seed=args.seed,
-        acquisition=acq.parse_kind(args.acq),
-        cost_model=args.cost_model,
-        budget=budget,
-        candidate_count=args.candidates,
-    )
-    trace = run(problem, cfg)
+    trace = run(problem, _run_config(args, budget))
     trace.write(out_dir / "trace.jsonl")
     row = summary_row(trace)
     _write_csv(out_dir / "summary.csv", [row])
@@ -753,6 +697,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _run_config(args: argparse.Namespace, budget: Budget) -> RunConfig:
+    """The config of a single-run subcommand's options."""
+    return RunConfig(
+        seed=args.seed,
+        acquisition=acq.parse_kind(args.acq),
+        cost_model=args.cost_model,
+        budget=budget,
+        candidate_count=args.candidates,
+    )
+
+
 def _parse_floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
@@ -761,14 +716,19 @@ def _parse_ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--suite", default="default", help="problem suite name")
-    parser.add_argument("--seeds", type=int, default=20, help="seeds per problem")
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """Options of every subcommand that runs the optimizer."""
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
     parser.add_argument("--noise", type=float, default=0.0, help="objective noise sd")
     parser.add_argument("--cost-model", default="lv3", choices=ONLINE_COST_KINDS)
     parser.add_argument("--candidates", type=int, default=acq.DEFAULT_CANDIDATE_COUNT)
+
+
+def _add_grid_options(parser: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that run a problems x seeds grid."""
+    parser.add_argument("--suite", default="default", help="problem suite name")
+    parser.add_argument("--seeds", type=int, default=20, help="seeds per problem")
+    parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -779,7 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="single optimization run")
-    _add_shared(p)
+    _add_run_options(p)
     p.add_argument("--problem", default="branin/explinear")
     p.add_argument("--table", default=None, help="tabular replay CSV")
     p.add_argument("--space-file", default=None, help="space JSON for --table")
@@ -790,7 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("biopt", help="fixed-iteration trade-off grid")
-    _add_shared(p)
+    _add_run_options(p)
+    _add_grid_options(p)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--alphas", default="0.1,0.3,1", help="EI_alpha grid")
     p.add_argument("--lambdas", default="", help="CEI lambda grid")
@@ -798,7 +759,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_biopt)
 
     p = sub.add_parser("time-alloc", help="average ranks at budget multiples")
-    _add_shared(p)
+    _add_run_options(p)
+    _add_grid_options(p)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--alphas", default="0.1,0.3,1")
     p.add_argument("--lambdas", default="0.5")
@@ -813,14 +775,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("cost-eval", help="cost-model accuracy protocols")
-    _add_shared(p)
+    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--seeds", type=int, default=20, help="data seeds per protocol")
     p.add_argument("--train-sizes", default="4,8,16,32,64")
     p.add_argument("--data", default=None, help="cost samples CSV")
     p.add_argument("--space-file", default=None, help="space JSON for --data")
     p.set_defaults(func=cmd_cost_eval)
 
     p = sub.add_parser("pareto-trace", help="one run with full front logging")
-    _add_shared(p)
+    _add_run_options(p)
     p.add_argument("--problem", default="branin/explinear")
     p.add_argument("--acq", default="ei")
     p.add_argument("--seed", type=int, default=0)

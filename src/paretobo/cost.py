@@ -170,7 +170,8 @@ class GPCost(CostModel):
         return logp
 
 
-def _unit_matrix(space: SearchSpace, samples: Sequence[CostSample]) -> np.ndarray:
+def unit_matrix(space: SearchSpace, samples: Sequence[CostSample]) -> np.ndarray:
+    """Unit-cube coordinates of the samples' configurations, one row each."""
     return np.array([to_unit(space, s.config) for s in samples])
 
 
@@ -282,7 +283,7 @@ def select_features(space: SearchSpace, samples: Sequence[CostSample], k: int) -
     ranking is invariant to the affine unit-cube rescaling. Ties break
     toward the lower dimension index; k is capped at the dimension count.
     """
-    return _select_features_core(_unit_matrix(space, samples), _log_costs(samples), k)
+    return _select_features_core(unit_matrix(space, samples), _log_costs(samples), k)
 
 
 def constant_fit(space: SearchSpace, samples: Sequence[CostSample]) -> ConstantCost:
@@ -293,7 +294,7 @@ def constant_fit(space: SearchSpace, samples: Sequence[CostSample]) -> ConstantC
 
 def lv_fit(space: SearchSpace, samples: Sequence[CostSample], k: int) -> LinearCost:
     """Low-variance linear model: log cost ~ intercept + k selected features."""
-    return _lv_fit_core(space, _unit_matrix(space, samples), _log_costs(samples), k)
+    return _lv_fit_core(space, unit_matrix(space, samples), _log_costs(samples), k)
 
 
 def warped_gp_fit(
@@ -304,7 +305,7 @@ def warped_gp_fit(
 ) -> GPCost:
     """GP on all features vs. log cost; predicts exp(posterior mean)."""
     return _warped_gp_fit_core(
-        space, _unit_matrix(space, samples), _log_costs(samples), rng, restarts
+        space, unit_matrix(space, samples), _log_costs(samples), rng, restarts
     )
 
 
@@ -316,7 +317,7 @@ def limited_gp_fit(
 ) -> GPCost:
     """GP trained on only the 3 most significant features."""
     return _limited_gp_fit_core(
-        space, _unit_matrix(space, samples), _log_costs(samples), rng, restarts
+        space, unit_matrix(space, samples), _log_costs(samples), rng, restarts
     )
 
 
@@ -329,7 +330,7 @@ def gplv_fit(
 ) -> GPCost:
     """LV(k) base plus a GP on its log-residuals."""
     return _gplv_fit_core(
-        space, _unit_matrix(space, samples), _log_costs(samples), k, rng, restarts
+        space, unit_matrix(space, samples), _log_costs(samples), k, rng, restarts
     )
 
 
@@ -353,7 +354,7 @@ def transfer_fit(
         samples.extend(task_samples)
         metas.extend([meta] * len(task_samples))
 
-    U = _unit_matrix(space, samples)
+    U = unit_matrix(space, samples)
     logc = _log_costs(samples)
     features = _select_features_core(U, logc, k)
     cols = U[:, features]
@@ -385,7 +386,7 @@ def cost_rmse(
     if not test:
         raise DataError("need at least one test sample")
     space = space or model._space
-    U = _unit_matrix(space, test)
+    U = unit_matrix(space, test)
     pred_log = model.predict_log_unit(U, meta)
     true_log = _log_costs(test)
     return float(np.sqrt(np.mean((pred_log - true_log) ** 2)))

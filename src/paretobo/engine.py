@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .acquisition import AcquisitionKind, Candidate, implied_alpha
 from .bench import BlackBox
 from .cost import CostModel, fit_cost_model_unit
 from .diagnostics import FrontSnapshot, PersistenceStat, front_persistence
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .space import from_unit, sample_uniform
 from .surrogate import gp_fit
 
@@ -76,22 +76,14 @@ class RunConfig:
     gp_restarts: int = 2
 
     def to_dict(self) -> dict:
-        budget = (
+        row = asdict(self)
+        row["acquisition"] = acq.kind_to_dict(self.acquisition)
+        row["budget"] = (
             {"iterations": self.budget.n}
             if isinstance(self.budget, Iterations)
             else {"simulated_cost": self.budget.tau}
         )
-        return {
-            "seed": self.seed,
-            "acquisition": acq.kind_to_dict(self.acquisition),
-            "cost_model": self.cost_model,
-            "budget": budget,
-            "init_design_size": self.init_design_size,
-            "candidate_count": self.candidate_count,
-            "perturbations_per_point": self.perturbations_per_point,
-            "perturbation_sd": self.perturbation_sd,
-            "gp_restarts": self.gp_restarts,
-        }
+        return row
 
     def config_hash(self) -> str:
         return _config_hash(self.to_dict())
@@ -125,30 +117,39 @@ class IterationRecord:
     persistence: PersistenceStat | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "phase": self.phase,
-            "point": [float(v) for v in self.point],
-            "config": [float(v) for v in self.config],
-            "y": self.y,
-            "cost": self.cost,
-            "cumulative_cost": self.cumulative_cost,
-            "incumbent": self.incumbent,
-            "failed": self.failed,
-            "over_budget": self.over_budget,
-            "max_ei": self.max_ei,
-            "chosen_ei": self.chosen_ei,
-            "chosen_cost_pred": self.chosen_cost_pred,
-            "cei_threshold": self.cei_threshold,
-            "implied_alpha": self.implied_alpha,
-            "degenerate": self.degenerate,
-            "front": None
-            if self.front is None
-            else [[c.ei, c.cost_pred] for c in self.front],
-            "persistence": None
-            if self.persistence is None
-            else [self.persistence.survived, self.persistence.total],
-        }
+        """The trace row: one key per field, arrays and diagnostics as lists."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["point"] = [float(v) for v in self.point]
+        row["config"] = [float(v) for v in self.config]
+        if self.front is not None:
+            row["front"] = [[c.ei, c.cost_pred] for c in self.front]
+        if self.persistence is not None:
+            row["persistence"] = [self.persistence.survived, self.persistence.total]
+        return row
+
+    @classmethod
+    def from_dict(cls, row: dict) -> IterationRecord:
+        """Inverse of :meth:`to_dict`; the row must have exactly its keys.
+
+        Fronts come back as (ei, cost) pairs and persistence as its counts only.
+        """
+        names = {f.name for f in fields(cls)}
+        if row.keys() != names:
+            raise DataError(
+                f"trace row has missing keys {sorted(names - row.keys())} "
+                f"and unknown keys {sorted(row.keys() - names)}"
+            )
+        record = cls(**row)
+        record.point = np.array(record.point)
+        record.config = np.array(record.config)
+        if record.front is not None:
+            record.front = tuple(
+                Candidate(point=np.empty(0), ei=e, cost_pred=c) for e, c in record.front
+            )
+        if record.persistence is not None:
+            survived, total = record.persistence
+            record.persistence = PersistenceStat(survived, total, rescored=())
+        return record
 
 
 @dataclass
@@ -185,54 +186,29 @@ class Trace:
 def read_trace(path: str | Path) -> Trace:
     """Reload a trace written by :meth:`Trace.write`.
 
-    Fronts come back as (ei, cost) pairs and persistence as its counts only.
+    Records come back through :meth:`IterationRecord.from_dict`. A line that
+    is not JSON, or a row that does not match the record, raises a
+    ``DataError`` naming the path and line.
     """
     records: list[IterationRecord] = []
     problem: dict = {}
     run_config: dict = {}
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
-            if payload.get("type") == "meta":
-                problem = payload.get("problem", {})
-                run_config = payload.get("config", {})
-                continue
-            front = payload.get("front")
-            persistence = payload.get("persistence")
-            records.append(
-                IterationRecord(
-                    iteration=payload["iteration"],
-                    phase=payload["phase"],
-                    point=np.array(payload["point"]),
-                    config=np.array(payload["config"]),
-                    y=payload["y"],
-                    cost=payload["cost"],
-                    cumulative_cost=payload["cumulative_cost"],
-                    incumbent=payload["incumbent"],
-                    failed=payload["failed"],
-                    over_budget=payload["over_budget"],
-                    max_ei=payload.get("max_ei"),
-                    chosen_ei=payload.get("chosen_ei"),
-                    chosen_cost_pred=payload.get("chosen_cost_pred"),
-                    cei_threshold=payload.get("cei_threshold"),
-                    implied_alpha=payload.get("implied_alpha"),
-                    degenerate=payload.get("degenerate"),
-                    front=None
-                    if front is None
-                    else tuple(
-                        Candidate(point=np.empty(0), ei=e, cost_pred=c)
-                        for e, c in front
-                    ),
-                    persistence=None
-                    if persistence is None
-                    else PersistenceStat(
-                        survived=persistence[0], total=persistence[1], rescored=()
-                    ),
-                )
-            )
+            try:
+                payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise DataError("trace line is not a JSON object")
+                if payload.get("type") == "meta":
+                    problem = payload.get("problem", {})
+                    run_config = payload.get("config", {})
+                else:
+                    records.append(IterationRecord.from_dict(payload))
+            except (ValueError, TypeError) as err:
+                raise DataError(f"{path}:{lineno}: {err}") from err
     return Trace(records=records, problem=problem, run_config=run_config)
 
 

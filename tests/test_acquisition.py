@@ -531,6 +531,21 @@ class TestKindCodecs:
         assert kind_from_dict(kind_to_dict(kind)) == kind
 
     @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "ucb"},
+            {"alpha": 0.5},
+            {"kind": "cei"},
+            {"kind": "ei_alpha", "lam": 0.5},
+            {"kind": "ei", "alpha": 0.5},
+            {"kind": "cei", "lam": 0.5, "alpha": 1.0},
+        ],
+    )
+    def test_bad_payload_is_config_error(self, payload):
+        with pytest.raises(ConfigError):
+            kind_from_dict(payload)
+
+    @pytest.mark.parametrize(
         "text,expected",
         [
             ("ei", EI()),

@@ -287,6 +287,22 @@ class TestCommands:
         alphas = read_csv(out / "implied_alpha.csv")
         assert len(alphas) == len(per_iter)
 
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("run", "--suite"), ("run", "--seeds"), ("run", "--jobs"),
+            ("pareto-trace", "--suite"), ("pareto-trace", "--seeds"),
+            ("pareto-trace", "--jobs"),
+            ("cost-eval", "--suite"), ("cost-eval", "--jobs"), ("cost-eval", "--noise"),
+            ("cost-eval", "--cost-model"), ("cost-eval", "--candidates"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, command, flag):
+        value = "lv3" if flag == "--cost-model" else "2"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, value, "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+
     def test_error_is_machine_readable(self, tmp_path, capsys):
         code = main(
             ["run", "--problem", "nope", "--out", str(tmp_path / "x")]
@@ -295,6 +311,44 @@ class TestCommands:
         err = capsys.readouterr().err.strip()
         record = json.loads(err)
         assert record["error"] == "ConfigError"
+
+
+class TestMalformedTraces:
+    @staticmethod
+    def grid(tmp_path):
+        """A two-method manifest of hand-built traces; returns the ei trace."""
+        rows = []
+        for method in ("ei", "cei0.5"):
+            path = tmp_path / f"{method}.jsonl"
+            synthetic_trace(path, [3.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+            rows.append(dict(method=method, problem="p", seed=0, trace=str(path)))
+        with open(tmp_path / "runs.csv", "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        return tmp_path / "ei.jsonl"
+
+    @pytest.mark.parametrize("corruption", ["truncated line", "missing key"])
+    def test_rank_reports_a_data_error(self, tmp_path, capsys, corruption):
+        trace = self.grid(tmp_path)
+        assert main(["rank", "--runs", str(tmp_path), "--multiples", "1"]) == 0
+        capsys.readouterr()
+        lines = trace.read_text().splitlines()
+        if corruption == "truncated line":
+            bad_line = len(lines)
+            lines[-1] = lines[-1][: len(lines[-1]) // 2]
+        else:
+            bad_line = 3
+            row = json.loads(lines[bad_line - 1])
+            del row["y"]
+            lines[bad_line - 1] = json.dumps(row)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["rank", "--runs", str(tmp_path), "--multiples", "1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "DataError"
+        assert record["message"].startswith(f"{trace}:{bad_line}: ")
 
 
 class TestParallelGrid:
