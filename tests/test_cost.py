@@ -1,5 +1,6 @@
 """Cost-model tests: feature selection, linear/GP families, transfer."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from paretobo.bench import (
     synthetic_transfer_tasks,
 )
 from paretobo.cost import (
+    ONLINE_COST_KINDS,
     ConstantCost,
     CostSample,
     MetaFeatures,
@@ -25,6 +27,7 @@ from paretobo.cost import (
     lv_fit,
     select_features,
     transfer_fit,
+    unit_matrix,
     warped_gp_fit,
 )
 from paretobo.errors import DataError, UsageError
@@ -418,3 +421,32 @@ class TestCSV:
         assert data.tasks[0][0] == MetaFeatures(100, 5, 2)
         assert len(data.tasks[0][1]) == 2
         assert data.tasks[1][0].n_classes == 0
+
+
+class TestKindParity:
+    """Every online kind, fallback included, keeps predicting the same bytes.
+
+    The digest is the SHA-256 of each fit's kind, selected features and
+    ``predict_log_unit`` output, over every kind in ``ONLINE_COST_KINDS`` at
+    n in {2, 4, 6, 30} on fixed ``cost_suite_split`` data. A lossless change
+    to the fitting code keeps it; a change meant to alter predictions
+    updates it here and says why in CHANGES.md.
+    """
+
+    SHA = "3ccea5b716aa49a54953d434f3bcedcf6c8f4a8c215692afa63e31d8d9b20389"
+
+    def test_predictions_digest(self):
+        digest = hashlib.sha256()
+        for n in (2, 4, 6, 30):
+            space, train, test = cost_suite_split(np.random.default_rng(400 + n), n)
+            U = unit_matrix(space, train)
+            costs = np.array([s.cost for s in train])
+            probes = unit_matrix(space, test[:50])
+            for kind in ONLINE_COST_KINDS:
+                model = fit_cost_model_unit(
+                    kind, space, U, costs, np.random.default_rng(n)
+                )
+                label = f"{n} {kind} {model.kind} {model.selected_features}"
+                digest.update(label.encode())
+                digest.update(model.predict_log_unit(probes).tobytes())
+        assert digest.hexdigest() == self.SHA
