@@ -25,17 +25,13 @@ from .cost import (
     MetaFeatures,
     TransferDataset,
     cost_rmse,
-    gplv_fit,
-    limited_gp_fit,
-    lv_fit,
+    fit_cost_model_unit,
     select_features,
     transfer_fit,
-    warped_gp_fit,
 )
 from .engine import (
     Budget,
     Iterations,
-    Observation,
     RunConfig,
     SimulatedCost,
     Trace,

@@ -429,10 +429,7 @@ def aggregate_ranks(
 
 
 def cmd_time_alloc(args: argparse.Namespace) -> int:
-    if args.runs:
-        manifest = _read_manifest(Path(args.runs))
-    else:
-        manifest = _run_suite_grid(args, [acq.EI(), acq.EIpu()])
+    manifest = _run_suite_grid(args, [acq.EI(), acq.EIpu()])
     _write_ranks(manifest, args.multiples, Path(args.out))
     return 0
 
@@ -765,7 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="0.1,0.3,1")
     p.add_argument("--lambdas", default="0.5")
     p.add_argument("--multiples", default="1,5,10,20")
-    p.add_argument("--runs", default=None, help="reuse traces from this directory")
     p.set_defaults(func=cmd_time_alloc)
 
     p = sub.add_parser("rank", help="re-aggregate ranks from stored traces")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -175,16 +176,21 @@ def unit_matrix(space: SearchSpace, samples: Sequence[CostSample]) -> np.ndarray
     return np.array([to_unit(space, s.config) for s in samples])
 
 
-def _log_costs(samples: Sequence[CostSample]) -> np.ndarray:
-    return np.log(np.array([s.cost for s in samples]))
-
-
 # ---------------------------------------------------------------------------
-# Unit-space fitting cores (also used directly by the optimization loop)
+# Model families, fitted on unit coordinates U and log costs
 # ---------------------------------------------------------------------------
 
+# Hyperparameter restarts of every cost-model GP fit.
+GP_RESTARTS = 3
 
-def _select_features_core(U: np.ndarray, logc: np.ndarray, k: int) -> list[int]:
+
+def select_features(U: np.ndarray, logc: np.ndarray, k: int) -> list[int]:
+    """Indices of the k columns of U with highest univariate R-squared vs. logc.
+
+    Simple-regression R-squared equals the squared correlation, so the
+    ranking is invariant to the affine unit-cube rescaling. Ties break
+    toward the lower dimension index; k is capped at the dimension count.
+    """
     d = U.shape[1]
     k_eff = min(k, d)
     if len(logc) < k_eff + 2:
@@ -206,62 +212,60 @@ def _select_features_core(U: np.ndarray, logc: np.ndarray, k: int) -> list[int]:
     return order[:k_eff]
 
 
-def _centered_linear_fit(
-    X: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, float, np.ndarray, bool]:
-    """OLS with centered columns; ridge (lambda=1e-8) when rank-deficient."""
-    means = X.mean(axis=0)
-    Xc = X - means
-    yc = y - y.mean()
+def _fit_constant(space, U, logc, rng=None) -> ConstantCost:
+    return ConstantCost(log_cost=float(np.mean(logc)), _space=space)
+
+
+def _fit_lv(space, U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
+    """OLS of log cost on the k selected features and any ``meta_cols``.
+
+    Columns are centered; a rank-deficient design is solved by ridge
+    (lambda = RIDGE_LAMBDA) instead.
+    """
+    features = select_features(U, logc, k)
+    cols = U[:, features]
+    if meta_cols is not None:
+        cols = np.hstack([cols, meta_cols])
+    means = cols.mean(axis=0)
+    Xc = cols - means
+    yc = logc - logc.mean()
     ridge = np.linalg.matrix_rank(Xc) < Xc.shape[1]
     if ridge:
         gram = Xc.T @ Xc + RIDGE_LAMBDA * np.eye(Xc.shape[1])
         coef = np.linalg.solve(gram, Xc.T @ yc)
     else:
         coef, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
-    return coef, float(y.mean()), means, ridge
-
-
-def _lv_fit_core(space: SearchSpace, U: np.ndarray, logc: np.ndarray, k: int) -> LinearCost:
-    features = _select_features_core(U, logc, k)
-    coef, intercept, means, ridge = _centered_linear_fit(U[:, features], logc)
     return LinearCost(
         _space=space,
         kind=f"lv{len(features)}",
         selected_features=tuple(features),
         coef=coef,
-        intercept=intercept,
+        intercept=float(logc.mean()),
         feature_means=means,
         ridge_fallback=ridge,
+        n_meta=0 if meta_cols is None else meta_cols.shape[1],
     )
 
 
-def _warped_gp_fit_core(space, U, logc, rng, restarts) -> GPCost:
-    if len(logc) < 2:
-        raise DataError("warped GP needs at least 2 samples")
-    gp = gp_fit(U, logc, restarts=restarts, rng=rng)
+def _fit_warped_gp(space, U, logc, rng=None) -> GPCost:
+    gp = gp_fit(U, logc, restarts=GP_RESTARTS, rng=rng)
     return GPCost(_space=space, kind="warped_gp", gp=gp, selected_features=())
 
 
-def _limited_gp_fit_core(space, U, logc, rng, restarts) -> GPCost:
-    features = _select_features_core(U, logc, 3)
-    gp = gp_fit(U[:, features], logc, restarts=restarts, rng=rng)
+def _fit_limited_gp(space, U, logc, rng=None) -> GPCost:
+    features = select_features(U, logc, 3)
+    gp = gp_fit(U[:, features], logc, restarts=GP_RESTARTS, rng=rng)
     return GPCost(
         _space=space, kind="limited_gp3", gp=gp, selected_features=tuple(features)
     )
 
 
-def _gplv_fit_core(space, U, logc, k, rng, restarts) -> GPCost:
-    base = _lv_fit_core(space, U, logc, k)
+def _fit_gplv(space, U, logc, rng=None, *, k) -> GPCost:
+    base = _fit_lv(space, U, logc, k=k)
     resid = logc - base.predict_log_unit(U)
-    gp = gp_fit(U, resid, restarts=restarts, rng=rng)
-    model = GPCost(
-        _space=space,
-        kind=f"gplv{len(base.selected_features)}",
-        gp=gp,
-        selected_features=(),
-        base=base,
-    )
+    gp = gp_fit(U, resid, restarts=GP_RESTARTS, rng=rng)
+    kind = f"gplv{len(base.selected_features)}"
+    model = GPCost(_space=space, kind=kind, gp=gp, selected_features=(), base=base)
     # Keep the residual GP only when it does not worsen the in-sample fit,
     # so GPLV's training error never exceeds the base model's.
     gp_rmse = float(np.sqrt(np.mean((logc - model.predict_log_unit(U)) ** 2)))
@@ -271,67 +275,48 @@ def _gplv_fit_core(space, U, logc, k, rng, restarts) -> GPCost:
     return model
 
 
-# ---------------------------------------------------------------------------
-# Public fitting API over native-unit samples
-# ---------------------------------------------------------------------------
+# Each online kind's minimum sample count and its fit (space, U, logc, rng).
+_ONLINE_KINDS = {
+    "constant": (1, _fit_constant),
+    "lv1": (3, partial(_fit_lv, k=1)),
+    "lv2": (4, partial(_fit_lv, k=2)),
+    "lv3": (5, partial(_fit_lv, k=3)),
+    "warped_gp": (3, _fit_warped_gp),
+    "gplv1": (3, partial(_fit_gplv, k=1)),
+    "gplv2": (4, partial(_fit_gplv, k=2)),
+    "gplv3": (5, partial(_fit_gplv, k=3)),
+    "limited_gp3": (5, _fit_limited_gp),
+}
+ONLINE_COST_KINDS = tuple(_ONLINE_KINDS)
 
 
-def select_features(space: SearchSpace, samples: Sequence[CostSample], k: int) -> list[int]:
-    """Indices of the k features with highest univariate R-squared vs. log cost.
+def fit_cost_model_unit(
+    kind: str,
+    space: SearchSpace,
+    unit_points: np.ndarray,
+    costs: np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> CostModel:
+    """Fit an online cost model of ``kind`` on unit coordinates and costs.
 
-    Simple-regression R-squared equals the squared correlation, so the
-    ranking is invariant to the affine unit-cube rescaling. Ties break
-    toward the lower dimension index; k is capped at the dimension count.
+    Falls back to the constant (geometric mean) predictor while fewer
+    samples than the kind's minimum are available, so a usable cost
+    estimate exists from the first iteration.
     """
-    return _select_features_core(unit_matrix(space, samples), _log_costs(samples), k)
-
-
-def constant_fit(space: SearchSpace, samples: Sequence[CostSample]) -> ConstantCost:
-    if not samples:
-        raise DataError("need at least one cost sample")
-    return ConstantCost(log_cost=float(np.mean(_log_costs(samples))), _space=space)
-
-
-def lv_fit(space: SearchSpace, samples: Sequence[CostSample], k: int) -> LinearCost:
-    """Low-variance linear model: log cost ~ intercept + k selected features."""
-    return _lv_fit_core(space, unit_matrix(space, samples), _log_costs(samples), k)
-
-
-def warped_gp_fit(
-    space: SearchSpace,
-    samples: Sequence[CostSample],
-    rng: np.random.Generator | None = None,
-    restarts: int = 3,
-) -> GPCost:
-    """GP on all features vs. log cost; predicts exp(posterior mean)."""
-    return _warped_gp_fit_core(
-        space, unit_matrix(space, samples), _log_costs(samples), rng, restarts
-    )
-
-
-def limited_gp_fit(
-    space: SearchSpace,
-    samples: Sequence[CostSample],
-    rng: np.random.Generator | None = None,
-    restarts: int = 3,
-) -> GPCost:
-    """GP trained on only the 3 most significant features."""
-    return _limited_gp_fit_core(
-        space, unit_matrix(space, samples), _log_costs(samples), rng, restarts
-    )
-
-
-def gplv_fit(
-    space: SearchSpace,
-    samples: Sequence[CostSample],
-    k: int,
-    rng: np.random.Generator | None = None,
-    restarts: int = 3,
-) -> GPCost:
-    """LV(k) base plus a GP on its log-residuals."""
-    return _gplv_fit_core(
-        space, unit_matrix(space, samples), _log_costs(samples), k, rng, restarts
-    )
+    if kind not in _ONLINE_KINDS:
+        raise ConfigError(
+            f"unknown cost model kind {kind!r}; choose from {ONLINE_COST_KINDS}"
+        )
+    U = np.atleast_2d(np.asarray(unit_points, dtype=float))
+    costs = np.asarray(costs, dtype=float)
+    if costs.size < 1:
+        raise DataError("need at least one cost observation")
+    if np.any(costs <= 0) or not np.all(np.isfinite(costs)):
+        raise DataError("costs must be positive and finite")
+    min_samples, fit = _ONLINE_KINDS[kind]
+    if len(costs) < min_samples:
+        fit = _fit_constant
+    return fit(space, U, np.log(costs), rng)
 
 
 def transfer_fit(
@@ -348,111 +333,30 @@ def transfer_fit(
     """
     if kind not in ("task_aware", "naive"):
         raise ConfigError(f"unknown transfer kind {kind!r}")
-    samples: list[CostSample] = []
-    metas: list[MetaFeatures] = []
-    for meta, task_samples in data.tasks:
-        samples.extend(task_samples)
-        metas.extend([meta] * len(task_samples))
-
-    U = unit_matrix(space, samples)
-    logc = _log_costs(samples)
-    features = _select_features_core(U, logc, k)
-    cols = U[:, features]
-    n_meta = 0
+    samples = [s for _, task_samples in data.tasks for s in task_samples]
+    meta_cols = None
     if kind == "task_aware":
-        meta_cols = np.array([m.to_regressors() for m in metas])
-        cols = np.hstack([cols, meta_cols])
-        n_meta = meta_cols.shape[1]
-    coef, intercept, means, ridge = _centered_linear_fit(cols, logc)
-    return LinearCost(
-        _space=space,
-        kind=f"transfer_{kind}",
-        selected_features=tuple(features),
-        coef=coef,
-        intercept=intercept,
-        feature_means=means,
-        ridge_fallback=ridge,
-        n_meta=n_meta,
-    )
+        meta_cols = np.array(
+            [meta.to_regressors() for meta, task_samples in data.tasks for _ in task_samples]
+        )
+    U = unit_matrix(space, samples)
+    logc = np.log([s.cost for s in samples])
+    model = _fit_lv(space, U, logc, k=k, meta_cols=meta_cols)
+    model.kind = f"transfer_{kind}"
+    return model
 
 
 def cost_rmse(
     model: CostModel,
     test: Sequence[CostSample],
     meta: MetaFeatures | None = None,
-    space: SearchSpace | None = None,
 ) -> float:
     """Root-mean-squared error in log-cost space on held-out samples."""
     if not test:
         raise DataError("need at least one test sample")
-    space = space or model._space
-    U = unit_matrix(space, test)
-    pred_log = model.predict_log_unit(U, meta)
-    true_log = _log_costs(test)
+    pred_log = model.predict_log_unit(unit_matrix(model._space, test), meta)
+    true_log = np.log([s.cost for s in test])
     return float(np.sqrt(np.mean((pred_log - true_log) ** 2)))
-
-
-# ---------------------------------------------------------------------------
-# Kind registry and the BO-facing factory
-# ---------------------------------------------------------------------------
-
-ONLINE_COST_KINDS = (
-    "constant",
-    "lv1",
-    "lv2",
-    "lv3",
-    "warped_gp",
-    "gplv1",
-    "gplv2",
-    "gplv3",
-    "limited_gp3",
-)
-
-
-def _min_samples(kind: str) -> int:
-    if kind.startswith("lv") or kind.startswith("gplv"):
-        return int(kind[-1]) + 2
-    if kind == "warped_gp":
-        return 3
-    if kind == "limited_gp3":
-        return 5
-    return 1
-
-
-def fit_cost_model_unit(
-    kind: str,
-    space: SearchSpace,
-    unit_points: np.ndarray,
-    costs: np.ndarray,
-    rng: np.random.Generator | None = None,
-    restarts: int = 3,
-) -> CostModel:
-    """Fit an online cost model directly on unit coordinates.
-
-    Used by the optimization loop. Falls back to the constant (geometric
-    mean) predictor while fewer samples than the kind's minimum are
-    available, so a usable cost estimate exists from the first iteration.
-    """
-    if kind not in ONLINE_COST_KINDS:
-        raise ConfigError(
-            f"unknown cost model kind {kind!r}; choose from {ONLINE_COST_KINDS}"
-        )
-    U = np.atleast_2d(np.asarray(unit_points, dtype=float))
-    costs = np.asarray(costs, dtype=float)
-    if costs.size < 1:
-        raise DataError("need at least one cost observation")
-    if np.any(costs <= 0) or not np.all(np.isfinite(costs)):
-        raise DataError("costs must be positive and finite")
-    logc = np.log(costs)
-    if kind == "constant" or len(costs) < _min_samples(kind):
-        return ConstantCost(log_cost=float(np.mean(logc)), _space=space)
-    if kind.startswith("lv"):
-        return _lv_fit_core(space, U, logc, int(kind[-1]))
-    if kind == "warped_gp":
-        return _warped_gp_fit_core(space, U, logc, rng, restarts)
-    if kind.startswith("gplv"):
-        return _gplv_fit_core(space, U, logc, int(kind[-1]), rng, restarts)
-    return _limited_gp_fit_core(space, U, logc, rng, restarts)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,16 +28,6 @@ from .diagnostics import FrontSnapshot, PersistenceStat, front_persistence
 from .errors import ConfigError, DataError
 from .space import from_unit, sample_uniform
 from .surrogate import gp_fit
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One black-box query in unit coordinates."""
-
-    point: np.ndarray
-    y: float
-    cost: float
-    failed: bool = False
 
 
 @dataclass(frozen=True)
@@ -139,6 +131,11 @@ class IterationRecord:
                 f"trace row has missing keys {sorted(names - row.keys())} "
                 f"and unknown keys {sorted(row.keys() - names)}"
             )
+        for f in fields(cls):
+            if not _json_fits(row[f.name], _RECORD_TYPES[f.name]):
+                raise DataError(
+                    f"trace row field {f.name!r} is {row[f.name]!r:.40}, not {f.type}"
+                )
         record = cls(**row)
         record.point = np.array(record.point)
         record.config = np.array(record.config)
@@ -150,6 +147,31 @@ class IterationRecord:
             survived, total = record.persistence
             record.persistence = PersistenceStat(survived, total, rescored=())
         return record
+
+
+_RECORD_TYPES = get_type_hints(IterationRecord)
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a decoded JSON value stands for a record field of type ``hint``.
+
+    Any JSON number fits a float (``Infinity`` included); arrays are lists
+    of numbers, a front is a list of [ei, cost] pairs and persistence is
+    its two counts.
+    """
+    if isinstance(hint, UnionType):
+        return any(_json_fits(value, h) for h in get_args(hint))
+    if hint is float:
+        return type(value) in (int, float)
+    if hint is np.ndarray:
+        return type(value) is list and all(type(v) in (int, float) for v in value)
+    if get_origin(hint) is tuple:
+        return type(value) is list and all(
+            _json_fits(pair, np.ndarray) and len(pair) == 2 for pair in value
+        )
+    if hint is PersistenceStat:
+        return type(value) is list and [type(v) for v in value] == [int, int]
+    return type(value) is hint  # int, str, bool and NoneType
 
 
 @dataclass
@@ -288,7 +310,6 @@ def run(
     tau = budget.tau if isinstance(budget, SimulatedCost) else None
 
     records: list[IterationRecord] = []
-    observations: list[Observation] = []
     cumulative = 0.0
     incumbent = math.inf
 
@@ -312,12 +333,11 @@ def run(
         if not cost_valid:
             cost = _failure_cost(
                 sel.chosen.cost_pred if sel is not None else None,
-                [o.cost for o in observations if not o.failed],
+                [r.cost for r in records if not r.failed],
             )
         cumulative += cost
         if not failed and y < incumbent:
             incumbent = y
-        observations.append(Observation(point=point, y=y, cost=cost, failed=failed))
         record = IterationRecord(
             iteration=len(records) + 1,
             phase=phase,
@@ -370,16 +390,16 @@ def run(
         if tau is not None and cumulative >= tau:
             break
 
-        valid = [o for o in observations if not o.failed]
+        valid = [r for r in records if not r.failed]
         if not valid:
             # No usable data yet (e.g. failing init design): sample uniformly.
             point = sample_uniform(space, rng, 1)[0]
             record_eval(point, "bo")
             continue
 
-        X = np.array([o.point for o in valid])
-        ys = np.array([o.y for o in valid])
-        costs = np.array([o.cost for o in valid])
+        X = np.array([r.point for r in valid])
+        ys = np.array([r.y for r in valid])
+        costs = np.array([r.cost for r in valid])
 
         model = gp_fit(X, ys, restarts=cfg.gp_restarts, rng=rng, warm_start=gp_params)
         gp_params = model.params

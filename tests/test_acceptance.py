@@ -29,7 +29,7 @@ from paretobo.acquisition import (
 )
 from paretobo.bench import cost_suite_split
 from paretobo.cli import build_problem, suite_problems, transfer_loto
-from paretobo.cost import cost_rmse, lv_fit, warped_gp_fit
+from paretobo.cost import cost_rmse, fit_cost_model_unit, unit_matrix
 from paretobo.diagnostics import ei_decomposition
 from paretobo.engine import Iterations, RunConfig, constrained_best, run
 from paretobo.space import Dimension, SearchSpace, from_unit
@@ -263,11 +263,27 @@ def test_criterion_08_cost_model_suite():
         CostSample(from_unit(space, u), float(np.exp(0.7 + 2.0 * u[1] - 1.0 * u[3])))
         for u in U
     ]
-    exact_rmse = cost_rmse(lv_fit(space, samples, 3), samples)
+    exact_rmse = cost_rmse(
+        fit_cost_model_unit(
+            "lv3", space, unit_matrix(space, samples), [s.cost for s in samples]
+        ),
+        samples,
+    )
 
     # (b) in-sample log-RMSE non-increasing in k
     suite_space, noisy, _ = cost_suite_split(np.random.default_rng(208), 40)
-    nest = [cost_rmse(lv_fit(suite_space, noisy, k), noisy) for k in (1, 2, 3)]
+    nest = [
+        cost_rmse(
+            fit_cost_model_unit(
+                f"lv{k}",
+                suite_space,
+                unit_matrix(suite_space, noisy),
+                [s.cost for s in noisy],
+            ),
+            noisy,
+        )
+        for k in (1, 2, 3)
+    ]
     nested_ok = nest[0] >= nest[1] - 1e-12 and nest[1] >= nest[2] - 1e-12
 
     # (c) LV(3) vs warped GP, held out, n_train <= 10, 50 seeds
@@ -275,9 +291,25 @@ def test_criterion_08_cost_model_suite():
     for seed in range(50):
         data_rng = np.random.default_rng(308 + seed)
         sp, train, test = cost_suite_split(data_rng, 10)
-        lv_scores.append(cost_rmse(lv_fit(sp, train, 3), test))
+        lv_scores.append(
+            cost_rmse(
+                fit_cost_model_unit(
+                    "lv3", sp, unit_matrix(sp, train), [s.cost for s in train]
+                ),
+                test,
+            )
+        )
         gp_scores.append(
-            cost_rmse(warped_gp_fit(sp, train, rng=np.random.default_rng(seed)), test)
+            cost_rmse(
+                fit_cost_model_unit(
+                    "warped_gp",
+                    sp,
+                    unit_matrix(sp, train),
+                    [s.cost for s in train],
+                    np.random.default_rng(seed),
+                ),
+                test,
+            )
         )
     lv_mean, gp_mean = float(np.mean(lv_scores)), float(np.mean(gp_scores))
     ok = exact_rmse <= 1e-6 and nested_ok and lv_mean <= gp_mean

@@ -295,6 +295,7 @@ class TestCommands:
             ("pareto-trace", "--jobs"),
             ("cost-eval", "--suite"), ("cost-eval", "--jobs"), ("cost-eval", "--noise"),
             ("cost-eval", "--cost-model"), ("cost-eval", "--candidates"),
+            ("time-alloc", "--runs"),
         ],
     )
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, command, flag):
@@ -328,7 +329,7 @@ class TestMalformedTraces:
             writer.writerows(rows)
         return tmp_path / "ei.jsonl"
 
-    @pytest.mark.parametrize("corruption", ["truncated line", "missing key"])
+    @pytest.mark.parametrize("corruption", ["truncated line", "missing key", "wrong type"])
     def test_rank_reports_a_data_error(self, tmp_path, capsys, corruption):
         trace = self.grid(tmp_path)
         assert main(["rank", "--runs", str(tmp_path), "--multiples", "1"]) == 0
@@ -340,7 +341,10 @@ class TestMalformedTraces:
         else:
             bad_line = 3
             row = json.loads(lines[bad_line - 1])
-            del row["y"]
+            if corruption == "missing key":
+                del row["y"]
+            else:
+                row["y"] = "abc"
             lines[bad_line - 1] = json.dumps(row)
         trace.write_text("\n".join(lines) + "\n")
         assert main(["rank", "--runs", str(tmp_path), "--multiples", "1"]) == 1

@@ -20,15 +20,11 @@ from paretobo.cost import (
     TransferDataset,
     cost_rmse,
     fit_cost_model_unit,
-    gplv_fit,
-    limited_gp_fit,
     load_cost_csv,
     load_transfer_csv,
-    lv_fit,
     select_features,
     transfer_fit,
     unit_matrix,
-    warped_gp_fit,
 )
 from paretobo.errors import DataError, UsageError
 from paretobo.space import Dimension, SearchSpace, from_unit, to_unit
@@ -52,19 +48,31 @@ def make_samples(space, rng, n, log_cost_fn, noise_sd=0.0):
     return samples
 
 
+def fit(kind, space, samples, rng=None):
+    """Fit an online cost-model kind on samples through the unit-array API."""
+    costs = np.array([s.cost for s in samples])
+    return fit_cost_model_unit(kind, space, unit_matrix(space, samples), costs, rng)
+
+
+def select(space, samples, k):
+    return select_features(
+        unit_matrix(space, samples), np.log([s.cost for s in samples]), k
+    )
+
+
 class TestSelectFeatures:
     def test_single_informative_feature(self):
         space = log_space()
         rng = np.random.default_rng(0)
         samples = make_samples(space, rng, 30, lambda lx, u: 3.0 * lx[1])
-        assert select_features(space, samples, 1) == [1]
+        assert select(space, samples, 1) == [1]
 
     def test_constant_cost_tie_break(self):
         space = log_space()
         rng = np.random.default_rng(1)
         U = rng.uniform(size=(10, 6))
         samples = [CostSample(from_unit(space, u), 2.5) for u in U]
-        assert select_features(space, samples, 1) == [0]
+        assert select(space, samples, 1) == [0]
 
     def test_two_features_ordered_by_strength(self):
         space = log_space()
@@ -72,7 +80,7 @@ class TestSelectFeatures:
         samples = make_samples(
             space, rng, 200, lambda lx, u: 4.0 * u[2] + 1.5 * u[5], noise_sd=0.01
         )
-        assert select_features(space, samples, 2) == [2, 5]
+        assert select(space, samples, 2) == [2, 5]
 
     def test_matches_exhaustive_r_squared_oracle(self):
         space = log_space()
@@ -86,13 +94,13 @@ class TestSelectFeatures:
             [np.corrcoef(U[:, j], logc)[0, 1] ** 2 for j in range(len(space))]
         )
         oracle = sorted(range(len(space)), key=lambda j: (-r2[j], j))[:3]
-        assert select_features(space, samples, 3) == oracle
+        assert select(space, samples, 3) == oracle
 
     def test_too_few_samples(self):
         space = log_space()
         samples = [CostSample(from_unit(space, np.full(6, 0.5)), 1.0)] * 2
         with pytest.raises(DataError):
-            select_features(space, samples, 1)
+            select(space, samples, 1)
 
 
 class TestLVFit:
@@ -100,7 +108,7 @@ class TestLVFit:
         space = log_space()
         rng = np.random.default_rng(4)
         samples = make_samples(space, rng, 40, lambda lx, u: 1.0 + 2.0 * lx[1])
-        model = lv_fit(space, samples, 1)
+        model = fit("lv1", space, samples)
         assert model.selected_features == (1,)
         assert cost_rmse(model, samples) <= 1e-8
 
@@ -109,7 +117,7 @@ class TestLVFit:
         rng = np.random.default_rng(5)
         U = rng.uniform(size=(12, 6))
         samples = [CostSample(from_unit(space, u), 3.7) for u in U]
-        model = lv_fit(space, samples, 1)
+        model = fit("lv1", space, samples)
         probes = rng.uniform(size=(20, 6))
         np.testing.assert_allclose(model.predict_unit(probes), 3.7, rtol=1e-10)
 
@@ -124,7 +132,7 @@ class TestLVFit:
             lambda lx, u: 0.5 + true[0] * u[0] + true[1] * u[1] + true[2] * u[2],
             noise_sd=0.05,
         )
-        model = lv_fit(space, samples, 3)
+        model = fit("lv3", space, samples)
         # independent normal-equations oracle on the same design
         U = np.array([to_unit(space, s.config) for s in samples])
         logc = np.log([s.cost for s in samples])
@@ -153,7 +161,7 @@ class TestLVFit:
         samples = [
             CostSample(np.array([v, v]), float(np.exp(1.0 + v))) for v in t
         ]
-        model = lv_fit(space, samples, 2)
+        model = fit("lv2", space, samples)
         assert model.ridge_fallback
         assert cost_rmse(model, samples) <= 1e-6
 
@@ -165,7 +173,7 @@ class TestGPFamilies:
         samples = make_samples(
             space, rng, 20, lambda lx, u: 0.5 * u[0] + np.sin(3 * u[1])
         )
-        model = warped_gp_fit(space, samples, rng=np.random.default_rng(0))
+        model = fit("warped_gp", space, samples, np.random.default_rng(0))
         for s in samples[:5]:
             assert model.predict(s.config) == pytest.approx(s.cost, rel=1e-3)
 
@@ -173,8 +181,8 @@ class TestGPFamilies:
         space = log_space()
         rng = np.random.default_rng(9)
         samples = make_samples(space, rng, 30, lambda lx, u: 1.0 + 2.0 * u[1])
-        lv = lv_fit(space, samples, 1)
-        gplv = gplv_fit(space, samples, 1, rng=np.random.default_rng(0))
+        lv = fit("lv1", space, samples)
+        gplv = fit("gplv1", space, samples, np.random.default_rng(0))
         U = np.array([to_unit(space, s.config) for s in samples])
         resid = np.log([s.cost for s in samples]) - lv.predict_log_unit(U)
         assert np.max(np.abs(resid)) <= 1e-8
@@ -192,8 +200,8 @@ class TestGPFamilies:
                 space, 30, gen, np.array([2.0, 0.0, -1.0, 0.5, 0.0]),
                 interaction=(0, 2, 1.0), noise_sd=0.2,
             )
-            gplv = gplv_fit(space, samples, 3, rng=np.random.default_rng(seed))
-            lv = lv_fit(space, samples, 3)
+            gplv = fit("gplv3", space, samples, np.random.default_rng(seed))
+            lv = fit("lv3", space, samples)
             assert cost_rmse(gplv, samples) <= cost_rmse(lv, samples) + 1e-8
 
     def test_gplv_beats_warped_gp_on_interaction_data(self):
@@ -201,8 +209,8 @@ class TestGPFamilies:
         for seed in range(20):
             gen = np.random.default_rng(200 + seed)
             space, train, test = cost_suite_split(gen, 50)
-            gplv = gplv_fit(space, train, 3, rng=np.random.default_rng(seed))
-            warped = warped_gp_fit(space, train, rng=np.random.default_rng(seed))
+            gplv = fit("gplv3", space, train, np.random.default_rng(seed))
+            warped = fit("warped_gp", space, train, np.random.default_rng(seed))
             gplv_scores.append(cost_rmse(gplv, test))
             warped_scores.append(cost_rmse(warped, test))
         assert np.mean(gplv_scores) <= np.mean(warped_scores)
@@ -213,7 +221,7 @@ class TestGPFamilies:
         samples = synthetic_cost_samples(
             space, 40, rng, np.array([2.0, 0.0, -1.5, 0.0, 1.0, 0.0, 0.0])
         )
-        model = limited_gp_fit(space, samples, rng=np.random.default_rng(0))
+        model = fit("limited_gp3", space, samples, np.random.default_rng(0))
         assert len(model.selected_features) == 3
         assert set(model.selected_features) == {0, 2, 4}
 
@@ -298,7 +306,7 @@ class TestCostRMSE:
         space = log_space(3)
         rng = np.random.default_rng(15)
         samples = make_samples(space, rng, 20, lambda lx, u: 1.0 + u[0])
-        model = lv_fit(space, samples, 1)
+        model = fit("lv1", space, samples)
         assert cost_rmse(model, samples) == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_predictor_unit_error(self):
@@ -315,7 +323,7 @@ class TestCostRMSE:
         space = log_space(3)
         rng = np.random.default_rng(16)
         samples = make_samples(space, rng, 25, lambda lx, u: u[0] + 0.2 * u[2], 0.3)
-        model = lv_fit(space, samples[:15], 2)
+        model = fit("lv2", space, samples[:15])
         test = samples[15:]
         expected = math.sqrt(
             np.mean(
@@ -347,7 +355,7 @@ class TestInvariants:
         samples = synthetic_cost_samples(
             space, 40, rng, np.array([2.0, -1.0, 0.5, 0.2, 0.0, 0.0]), noise_sd=0.2
         )
-        rmses = [cost_rmse(lv_fit(space, samples, k), samples) for k in (1, 2, 3)]
+        rmses = [cost_rmse(fit(f"lv{k}", space, samples), samples) for k in (1, 2, 3)]
         assert rmses[0] >= rmses[1] - 1e-12
         assert rmses[1] >= rmses[2] - 1e-12
 
@@ -357,8 +365,8 @@ class TestInvariants:
         samples = make_samples(space, rng, 30, lambda lx, u: u[0] - u[2], 0.1)
         beta = 37.5
         scaled = [CostSample(s.config, s.cost * beta) for s in samples]
-        m1 = lv_fit(space, samples, 2)
-        m2 = lv_fit(space, scaled, 2)
+        m1 = fit("lv2", space, samples)
+        m2 = fit("lv2", space, scaled)
         probes = rng.uniform(size=(20, 4))
         np.testing.assert_allclose(
             m2.predict_unit(probes), beta * m1.predict_unit(probes), rtol=1e-12
@@ -370,8 +378,8 @@ class TestInvariants:
         samples = make_samples(space, rng, 15, lambda lx, u: u[0] + 0.5 * u[1], 0.05)
         beta = 12.0
         scaled = [CostSample(s.config, s.cost * beta) for s in samples]
-        m1 = warped_gp_fit(space, samples, rng=np.random.default_rng(3))
-        m2 = warped_gp_fit(space, scaled, rng=np.random.default_rng(3))
+        m1 = fit("warped_gp", space, samples, np.random.default_rng(3))
+        m2 = fit("warped_gp", space, scaled, np.random.default_rng(3))
         probes = rng.uniform(size=(20, 3))
         np.testing.assert_allclose(
             m2.predict_unit(probes), beta * m1.predict_unit(probes), rtol=1e-6
