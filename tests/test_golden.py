@@ -12,7 +12,7 @@ import numpy as np
 
 from paretobo.acquisition import CEI, EIpu
 from paretobo.bench import load_tabular
-from paretobo.cli import build_problem
+from paretobo.cli import build_problem, main
 from paretobo.engine import Iterations, RunConfig, run
 from paretobo.space import from_unit, xgboost_space
 
@@ -27,6 +27,17 @@ EIPU_HARTMANN3_SHA = (
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
     "48b73acf79512f155a53c0e2fec99dbe9109324195fc6e1195c8318fe04953dd"
+)
+# `paretobo pareto-trace`: the trace and its four CSVs, in PARETO_TRACE_FILES order.
+PARETO_TRACE_FILES = (
+    "trace.jsonl",
+    "fronts.csv",
+    "markers.csv",
+    "persistence.csv",
+    "implied_alpha.csv",
+)
+PARETO_TRACE_SHA = (
+    "672d7e314ed2d7653fb0f95a7f2fb72810c873d62643a4ed15d89a47484b387a"
 )
 
 
@@ -81,3 +92,19 @@ def test_replay7d_gplv3_digest(tmp_path):
     )
     trace = run(problem, cfg)
     assert _digest(trace, tmp_path) == REPLAY7D_SHA
+
+
+def test_pareto_trace_outputs_digest(tmp_path):
+    argv = [
+        "pareto-trace", "--problem", "branin/explinear", "--acq", "cei:0.3",
+        "--seed", "1", "--iters", "20", "--candidates", "256", "--out", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    digest = hashlib.sha256()
+    for name in PARETO_TRACE_FILES:
+        data = (tmp_path / name).read_bytes()
+        digest.update(f"{name} {len(data)}\n".encode())
+        digest.update(data)
+    fronts = (tmp_path / "fronts.csv").read_text().splitlines()
+    assert any(line.endswith(",0") for line in fronts)  # survival flags are written
+    assert digest.hexdigest() == PARETO_TRACE_SHA
