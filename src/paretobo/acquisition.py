@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 from scipy.special import ndtr
@@ -106,24 +106,14 @@ class Candidate:
 class CandidateSet:
     """A scored candidate set as arrays: points (m, d), EI (m,), cost (m,).
 
-    Indexing materializes one :class:`Candidate` with its own copy of the
-    point; the selection rules read the arrays directly.
+    Both a scored set and its Pareto front are candidate sets. Indexing
+    materializes one :class:`Candidate` with its own copy of the point; the
+    selection rules read the arrays directly.
     """
 
     points: np.ndarray
     ei: np.ndarray
     cost: np.ndarray
-
-    @classmethod
-    def of(cls, cands: CandidateSet | Sequence[Candidate]) -> CandidateSet:
-        """The arrays of a candidate list (a set is returned as it is)."""
-        if isinstance(cands, CandidateSet):
-            return cands
-        return cls(
-            points=np.array([c.point for c in cands], dtype=float),
-            ei=np.array([c.ei for c in cands], dtype=float),
-            cost=np.array([c.cost_pred for c in cands], dtype=float),
-        )
 
     def __len__(self) -> int:
         return len(self.ei)
@@ -133,8 +123,11 @@ class CandidateSet:
             point=self.points[i].copy(), ei=float(self.ei[i]), cost_pred=float(self.cost[i])
         )
 
-
-Candidates = CandidateSet | Sequence[Candidate]
+    def subset(self, indices: np.ndarray) -> CandidateSet:
+        """The members at ``indices``, in that order, as a new set."""
+        return CandidateSet(
+            points=self.points[indices], ei=self.ei[indices], cost=self.cost[indices]
+        )
 
 
 @dataclass
@@ -143,7 +136,7 @@ class SelectionResult:
 
     chosen: Candidate
     chosen_index: int
-    front: list[Candidate]
+    front: CandidateSet
     candidates: CandidateSet
     threshold: float | None = None
     degenerate: bool = False
@@ -245,16 +238,14 @@ def front_indices(eis: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return order[on_front]
 
 
-def pareto_front(cands: Candidates) -> list[Candidate]:
+def pareto_front(cands: CandidateSet) -> CandidateSet:
     """Non-dominated candidates, sorted by ascending predicted cost.
 
-    Duplicates (identical cost and EI) are all retained. A list gives back
-    its own members; a :class:`CandidateSet` gives new candidates.
+    Duplicates (identical cost and EI) are all retained.
     """
     if not len(cands):
         raise UsageError("pareto_front needs at least one candidate")
-    scored = CandidateSet.of(cands)
-    return [cands[i] for i in front_indices(scored.ei, scored.cost)]
+    return cands.subset(front_indices(cands.ei, cands.cost))
 
 
 def _argmax_with_tiebreak(scores: np.ndarray, costs: np.ndarray) -> int:
@@ -280,19 +271,19 @@ def _effective_alpha(kind: AcquisitionKind, spent: float) -> float:
 
 
 def _selection(
-    cands: Candidates, scored: CandidateSet, chosen_idx: int, threshold: float | None
+    cands: CandidateSet, chosen_idx: int, threshold: float | None
 ) -> SelectionResult:
     return SelectionResult(
         chosen=cands[chosen_idx],
         chosen_index=chosen_idx,
         front=pareto_front(cands),
-        candidates=scored,
+        candidates=cands,
         threshold=threshold,
-        degenerate=bool(np.max(scored.ei) <= 0.0),
+        degenerate=bool(np.max(cands.ei) <= 0.0),
     )
 
 
-def cei_select(cands: Candidates, lam: float) -> SelectionResult:
+def cei_select(cands: CandidateSet, lam: float) -> SelectionResult:
     """Minimum-cost candidate among those with EI >= (1 - lam) * max EI.
 
     Cost ties go to the higher EI, then to the lower index. The chosen
@@ -302,27 +293,25 @@ def cei_select(cands: Candidates, lam: float) -> SelectionResult:
         raise UsageError("cei_select needs at least one candidate")
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    scored = CandidateSet.of(cands)
-    eis, costs = scored.ei, scored.cost
+    eis, costs = cands.ei, cands.cost
     threshold = (1.0 - lam) * float(np.max(eis))
     feasible = np.flatnonzero(eis >= threshold)
 
     # min cost, then max EI, then lowest index
     at_min_cost = feasible[costs[feasible] == costs[feasible].min()]
     chosen_idx = int(at_min_cost[eis[at_min_cost] == eis[at_min_cost].max()][0])
-    return _selection(cands, scored, chosen_idx, threshold)
+    return _selection(cands, chosen_idx, threshold)
 
 
-def select(kind: AcquisitionKind, cands: Candidates, spent: float = 0.0) -> SelectionResult:
+def select(kind: AcquisitionKind, cands: CandidateSet, spent: float = 0.0) -> SelectionResult:
     """Apply an acquisition rule to an already-scored candidate set."""
     if isinstance(kind, CEI):
         return cei_select(cands, kind.lam)
     if not len(cands):
         raise UsageError("select needs at least one candidate")
-    scored = CandidateSet.of(cands)
-    scores = scored.ei / scored.cost ** _effective_alpha(kind, spent)
-    chosen_idx = _argmax_with_tiebreak(scores, scored.cost)
-    return _selection(cands, scored, chosen_idx, None)
+    scores = cands.ei / cands.cost ** _effective_alpha(kind, spent)
+    chosen_idx = _argmax_with_tiebreak(scores, cands.cost)
+    return _selection(cands, chosen_idx, None)
 
 
 def generate_candidates(

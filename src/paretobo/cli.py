@@ -618,12 +618,13 @@ def cmd_pareto_trace(args: argparse.Namespace) -> int:
             if next_rec is not None and next_rec.persistence is not None
             else None
         )
-        for j, cand in enumerate(record.front):
+        front = zip(record.front.ei.tolist(), record.front.cost.tolist())
+        for j, (ei, cost) in enumerate(front):
             front_rows.append(
                 {
                     "iteration": record.iteration,
-                    "ei": cand.ei,
-                    "cost": cand.cost_pred,
+                    "ei": ei,
+                    "cost": cost,
                     "survived_flag": ""
                     if flags is None or j >= len(flags)
                     else int(flags[j]),

@@ -13,11 +13,10 @@ Two views of why the front moves between consecutive iterations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .acquisition import Candidate, ei, front_indices, score_candidates
+from .acquisition import CandidateSet, ei, front_indices, score_candidates
 from .cost import CostModel
 from .surrogate import GPModel, gp_posterior_many
 
@@ -32,20 +31,16 @@ class EIDecomposition:
 
 
 @dataclass(frozen=True)
-class FrontSnapshot:
-    """The non-dominated candidate set at one iteration."""
-
-    iteration: int
-    front: tuple[Candidate, ...]
-
-
-@dataclass(frozen=True)
 class PersistenceStat:
-    """How much of a previous front survives re-scoring."""
+    """How much of a previous front survives re-scoring.
+
+    ``rescored`` is the previous front under the new models (None when the
+    stat is read back from a trace, which keeps only the counts).
+    """
 
     survived: int
     total: int
-    rescored: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
+    rescored: CandidateSet | None
     flags: tuple[bool, ...] = ()
 
 
@@ -79,11 +74,11 @@ def ei_decomposition(
 
 
 def front_persistence(
-    prev: FrontSnapshot,
+    prev_front: CandidateSet,
     model_t1: GPModel,
     cost_model_t1: CostModel,
     y_min_t1: float,
-    current_front: Sequence[Candidate],
+    current_front: CandidateSet,
     cost_floor: float,
 ) -> PersistenceStat:
     """Survival of the previous front under the new models.
@@ -93,19 +88,13 @@ def front_persistence(
     candidates' were; it survives if it is non-dominated within the union of the
     re-scored previous front and the current candidate front.
     """
-    old = prev.front
-    points = np.array([c.point for c in old], dtype=float)
+    points = prev_front.points
     new = score_candidates(
         points, model_t1, cost_model_t1.predict_unit(points), y_min_t1, cost_floor
     )
-    union_ei = np.concatenate([new.ei, [c.ei for c in current_front]])
-    union_cost = np.concatenate([new.cost, [c.cost_pred for c in current_front]])
-    survivors = set(front_indices(union_ei, union_cost).tolist())
-    flags = tuple(i in survivors for i in range(len(old)))
-    rescored = tuple(
-        ((c.ei, c.cost_pred), (float(e), float(k)))
-        for c, e, k in zip(old, new.ei, new.cost)
+    survivors = front_indices(
+        np.concatenate([new.ei, current_front.ei]),
+        np.concatenate([new.cost, current_front.cost]),
     )
-    return PersistenceStat(
-        survived=sum(flags), total=len(old), rescored=rescored, flags=flags
-    )
+    flags = tuple(np.isin(np.arange(len(new)), survivors).tolist())
+    return PersistenceStat(survived=sum(flags), total=len(new), rescored=new, flags=flags)

@@ -16,15 +16,15 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import acquisition as acq
-from .acquisition import AcquisitionKind, Candidate, implied_alpha
+from .acquisition import AcquisitionKind, CandidateSet, implied_alpha
 from .bench import BlackBox
 from .cost import CostModel, fit_cost_model_unit
-from .diagnostics import FrontSnapshot, PersistenceStat, front_persistence
+from .diagnostics import PersistenceStat, front_persistence
 from .errors import ConfigError, DataError
 from .space import from_unit, sample_uniform
 from .surrogate import gp_fit
@@ -105,7 +105,7 @@ class IterationRecord:
     cei_threshold: float | None = None
     implied_alpha: float | None = None
     degenerate: bool | None = None
-    front: tuple[Candidate, ...] | None = None
+    front: CandidateSet | None = None
     persistence: PersistenceStat | None = None
 
     def to_dict(self) -> dict:
@@ -114,7 +114,9 @@ class IterationRecord:
         row["point"] = [float(v) for v in self.point]
         row["config"] = [float(v) for v in self.config]
         if self.front is not None:
-            row["front"] = [[c.ei, c.cost_pred] for c in self.front]
+            row["front"] = [
+                [e, c] for e, c in zip(self.front.ei.tolist(), self.front.cost.tolist())
+            ]
         if self.persistence is not None:
             row["persistence"] = [self.persistence.survived, self.persistence.total]
         return row
@@ -123,7 +125,8 @@ class IterationRecord:
     def from_dict(cls, row: dict) -> IterationRecord:
         """Inverse of :meth:`to_dict`; the row must have exactly its keys.
 
-        Fronts come back as (ei, cost) pairs and persistence as its counts only.
+        Fronts come back as sets without points, shape (k, 0), and persistence
+        as its counts only.
         """
         names = {f.name for f in fields(cls)}
         if row.keys() != names:
@@ -140,12 +143,11 @@ class IterationRecord:
         record.point = np.array(record.point)
         record.config = np.array(record.config)
         if record.front is not None:
-            record.front = tuple(
-                Candidate(point=np.empty(0), ei=e, cost_pred=c) for e, c in record.front
-            )
+            eis, costs = np.array(record.front, dtype=float).reshape(-1, 2).T
+            record.front = CandidateSet(np.empty((len(eis), 0)), eis, costs)
         if record.persistence is not None:
             survived, total = record.persistence
-            record.persistence = PersistenceStat(survived, total, rescored=())
+            record.persistence = PersistenceStat(survived, total, rescored=None)
         return record
 
 
@@ -165,7 +167,7 @@ def _json_fits(value, hint) -> bool:
         return type(value) in (int, float)
     if hint is np.ndarray:
         return type(value) is list and all(type(v) in (int, float) for v in value)
-    if get_origin(hint) is tuple:
+    if hint is CandidateSet:
         return type(value) is list and all(
             _json_fits(pair, np.ndarray) and len(pair) == 2 for pair in value
         )
@@ -356,7 +358,7 @@ def run(
             record.chosen_cost_pred = sel.chosen.cost_pred
             record.cei_threshold = sel.threshold
             record.degenerate = sel.degenerate
-            record.front = tuple(sel.front)
+            record.front = sel.front
             if isinstance(resolved_kind, acq.CEI):
                 record.implied_alpha = implied_alpha(sel)
         records.append(record)
@@ -381,7 +383,7 @@ def run(
         resolved_kind = _resolve_ei_cool(resolved_kind, budget, cumulative)
 
     gp_params = None
-    prev_front: tuple[Candidate, ...] | None = None
+    prev_front: CandidateSet | None = None
 
     # Sequential loop.
     while True:
@@ -426,14 +428,14 @@ def run(
 
         if track_persistence and prev_front is not None:
             record.persistence = front_persistence(
-                FrontSnapshot(iteration=record.iteration - 1, front=prev_front),
+                prev_front,
                 model,
                 cost_model,
                 float(np.min(ys)),
                 sel.front,
                 cost_floor,
             )
-        prev_front = tuple(sel.front)
+        prev_front = sel.front
 
     return Trace(
         records=records,

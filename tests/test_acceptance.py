@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 from paretobo.acquisition import (
     CEI,
     EI,
-    Candidate,
+    CandidateSet,
     EIAlpha,
     EICool,
     EIpu,
@@ -170,14 +170,10 @@ def test_criterion_04_pareto_oracle_equivalence():
         else:  # heavy duplication
             eis = rng.choice(np.linspace(0, 1, 7), size=n)
             costs = rng.choice(np.linspace(0.5, 2.0, 7), size=n)
-        cands = [
-            Candidate(point=np.zeros(1), ei=float(e), cost_pred=float(c))
-            for e, c in zip(eis, costs)
-        ]
+        cands = CandidateSet(points=np.arange(n)[:, None], ei=eis, cost=costs)
         front = pareto_front(cands)
-        got_ids = {id(c) for c in front}
-        expected = _oracle_front_ids(eis, costs)
-        expected_ids = {id(cands[i]) for i in expected}
+        got_ids = set(front.points[:, 0].tolist())
+        expected_ids = _oracle_front_ids(eis, costs)
         if got_ids != expected_ids:
             _report(4, False, f"mismatch at trial {trial} (n={n})")
     _report(4, True, "200/200 candidate sets matched the brute-force front")
@@ -191,10 +187,7 @@ def _random_scored_set(rng):
     else:
         eis = rng.uniform(0, 1, size=n)
         costs = rng.uniform(0.1, 5.0, size=n)
-    return [
-        Candidate(point=np.zeros(1), ei=float(e), cost_pred=float(c))
-        for e, c in zip(eis, costs)
-    ]
+    return CandidateSet(points=np.zeros((n, 1)), ei=eis, cost=costs)
 
 
 def test_criterion_05_pareto_membership_all_kinds():
@@ -210,9 +203,7 @@ def test_criterion_05_pareto_membership_all_kinds():
     failures = 0
     for _ in range(1000):
         cands = _random_scored_set(rng)
-        eis = np.array([c.ei for c in cands])
-        costs = np.array([c.cost_pred for c in cands])
-        front_ids = _oracle_front_ids(eis, costs)
+        front_ids = _oracle_front_ids(cands.ei, cands.cost)
         for kind in kinds:
             if select(kind, cands).chosen_index not in front_ids:
                 failures += 1

@@ -42,15 +42,30 @@ def cand(ei_value, cost, point=None):
     )
 
 
+def cset(pairs):
+    """A scored set of (ei, cost) pairs whose point i is [i]."""
+    eis, costs = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return CandidateSet(np.arange(len(eis), dtype=float)[:, None], eis, costs)
+
+
+def pairs(cands):
+    return list(zip(cands.ei.tolist(), cands.cost.tolist()))
+
+
+def members(cands):
+    return [cands[i] for i in range(len(cands))]
+
+
 def brute_force_front(cands):
-    """O(n^2) oracle: keep everything not strictly dominated."""
-    keep = []
-    for i, c in enumerate(cands):
+    """O(n^2) oracle: indices of the members no other member strictly dominates."""
+    listed = members(cands)
+    return [
+        i
+        for i, c in enumerate(listed)
         if not any(
-            dominates(other, c) == "strict" for j, other in enumerate(cands) if j != i
-        ):
-            keep.append(c)
-    return keep
+            dominates(other, c) == "strict" for j, other in enumerate(listed) if j != i
+        )
+    ]
 
 
 def random_candidates(rng, n, duplicates=False):
@@ -60,7 +75,7 @@ def random_candidates(rng, n, duplicates=False):
     else:
         eis = rng.uniform(0, 1, size=n)
         costs = rng.uniform(0.1, 5.0, size=n)
-    return [cand(float(e), float(c)) for e, c in zip(eis, costs)]
+    return cset(np.column_stack([eis, costs]))
 
 
 class TestEI:
@@ -170,24 +185,24 @@ class TestDominance:
 
 class TestParetoFront:
     def test_three_point_example(self):
-        cands = [cand(0.5, 1.0), cand(0.4, 2.0), cand(0.9, 3.0)]
-        front = pareto_front(cands)
-        assert [(c.ei, c.cost_pred) for c in front] == [(0.5, 1.0), (0.9, 3.0)]
+        front = pareto_front(cset([(0.5, 1.0), (0.4, 2.0), (0.9, 3.0)]))
+        assert pairs(front) == [(0.5, 1.0), (0.9, 3.0)]
+        assert front.points.tolist() == [[0.0], [2.0]]
 
     def test_single_candidate(self):
-        c = cand(0.3, 2.0)
-        assert pareto_front([c]) == [c]
+        front = pareto_front(cset([(0.3, 2.0)]))
+        assert pairs(front) == [(0.3, 2.0)]
+        assert front.points.tolist() == [[0.0]]
 
     def test_duplicates_both_retained(self):
-        cands = [cand(0.5, 1.0), cand(0.5, 1.0), cand(0.2, 2.0)]
-        front = pareto_front(cands)
+        front = pareto_front(cset([(0.5, 1.0), (0.5, 1.0), (0.2, 2.0)]))
         assert len(front) == 2
-        assert all(c.ei == 0.5 for c in front)
+        assert np.all(front.ei == 0.5)
 
     def test_sorted_by_ascending_cost(self):
         rng = np.random.default_rng(3)
         front = pareto_front(random_candidates(rng, 100))
-        costs = [c.cost_pred for c in front]
+        costs = front.cost.tolist()
         assert costs == sorted(costs)
 
     @pytest.mark.parametrize("duplicates", [False, True])
@@ -198,7 +213,7 @@ class TestParetoFront:
             cands = random_candidates(rng, n, duplicates=duplicates)
             fast = pareto_front(cands)
             oracle = brute_force_front(cands)
-            assert {id(c) for c in fast} == {id(c) for c in oracle}
+            assert sorted(fast.points[:, 0].tolist()) == oracle
 
 
 def loop_front_indices(eis, costs):
@@ -236,6 +251,18 @@ def parity_sets(rng):
     return sets
 
 
+def reference_select(kind, listed, spent):
+    """Chosen index and threshold of a rule, candidate by candidate."""
+    if isinstance(kind, CEI):
+        threshold = (1.0 - kind.lam) * max(c.ei for c in listed)
+        feasible = [i for i, c in enumerate(listed) if c.ei >= threshold]
+        chosen = min(feasible, key=lambda i: (listed[i].cost_pred, -listed[i].ei, i))
+        return chosen, threshold
+    scores = [score(kind, c, spent) for c in listed]
+    best = [i for i, v in enumerate(scores) if v == max(scores)]
+    return min(best, key=lambda i: (listed[i].cost_pred, i)), None
+
+
 class TestCandidateSetParity:
     KINDS = (
         EI(),
@@ -249,49 +276,41 @@ class TestCandidateSetParity:
     )
 
     @staticmethod
-    def as_both(eis, costs, rng):
-        points = rng.uniform(size=(len(eis), 3))
-        cands = [
-            Candidate(point=points[i], ei=float(eis[i]), cost_pred=float(costs[i]))
-            for i in range(len(eis))
-        ]
-        return cands, CandidateSet(points=points, ei=eis, cost=costs)
+    def scored_set(eis, costs, rng):
+        return CandidateSet(points=rng.uniform(size=(len(eis), 3)), ei=eis, cost=costs)
 
     def test_front_matches_loop_reference(self):
         rng = np.random.default_rng(21)
         for eis, costs in parity_sets(rng):
             expected = loop_front_indices(eis, costs)
             assert front_indices(eis, costs).tolist() == expected
-            cands, scored = self.as_both(eis, costs, rng)
-            assert [id(c) for c in pareto_front(cands)] == [id(cands[i]) for i in expected]
+            scored = self.scored_set(eis, costs, rng)
             front = pareto_front(scored)
-            assert [(c.ei, c.cost_pred) for c in front] == [
-                (float(eis[i]), float(costs[i])) for i in expected
-            ]
-            for c, i in zip(front, expected):
-                assert np.array_equal(c.point, scored.points[i])
-                assert not np.shares_memory(c.point, scored.points)
+            assert pairs(front) == [(float(eis[i]), float(costs[i])) for i in expected]
+            assert np.array_equal(front.points, scored.points[expected])
+            assert not np.shares_memory(front.points, scored.points)
+            for i in range(len(front)):
+                assert not np.shares_memory(front[i].point, front.points)
 
     @pytest.mark.parametrize("kind", KINDS, ids=kind_id)
     def test_every_rule_agrees_on_lists_and_sets(self, kind):
+        """The array rule picks what a candidate-by-candidate reference picks."""
         rng = np.random.default_rng(22)
         for eis, costs in parity_sets(rng):
-            cands, scored = self.as_both(eis, costs, rng)
+            scored = self.scored_set(eis, costs, rng)
+            listed = members(scored)
             for spent in (1.0, 5.5):
-                a = select(kind, cands, spent=spent)
-                b = select(kind, scored, spent=spent)
-                assert a.chosen_index == b.chosen_index
-                assert a.chosen is cands[a.chosen_index]
-                assert (b.chosen.ei, b.chosen.cost_pred) == (
-                    a.chosen.ei,
-                    a.chosen.cost_pred,
+                sel = select(kind, scored, spent=spent)
+                index, threshold = reference_select(kind, listed, spent)
+                assert sel.chosen_index == index
+                assert (sel.chosen.ei, sel.chosen.cost_pred) == (
+                    listed[index].ei,
+                    listed[index].cost_pred,
                 )
-                assert a.threshold == b.threshold
-                assert a.degenerate == b.degenerate
-                assert [(c.ei, c.cost_pred) for c in a.front] == [
-                    (c.ei, c.cost_pred) for c in b.front
-                ]
-                assert implied_alpha(a) == implied_alpha(b)
+                assert np.array_equal(sel.chosen.point, scored.points[index])
+                assert sel.threshold == threshold
+                assert sel.degenerate == (max(c.ei for c in listed) <= 0.0)
+                assert pairs(sel.front) == pairs(pareto_front(scored))
 
     def test_empty_set_rejected(self):
         empty = CandidateSet(points=np.zeros((0, 2)), ei=np.zeros(0), cost=np.zeros(0))
@@ -305,18 +324,18 @@ class TestCandidateSetParity:
 
 class TestCEISelect:
     def test_three_candidate_example(self):
-        cands = [cand(1.0, 10.0), cand(0.9, 2.0), cand(0.5, 1.0)]
+        cands = cset([(1.0, 10.0), (0.9, 2.0), (0.5, 1.0)])
         sel = cei_select(cands, 0.2)
         assert sel.threshold == pytest.approx(0.8)
         assert (sel.chosen.ei, sel.chosen.cost_pred) == (0.9, 2.0)
 
     def test_lambda_zero_picks_cheapest_max_ei(self):
-        cands = [cand(1.0, 5.0), cand(1.0, 2.0), cand(0.9, 0.5)]
+        cands = cset([(1.0, 5.0), (1.0, 2.0), (0.9, 0.5)])
         sel = cei_select(cands, 0.0)
         assert (sel.chosen.ei, sel.chosen.cost_pred) == (1.0, 2.0)
 
     def test_lambda_one_picks_min_cost(self):
-        cands = [cand(1.0, 5.0), cand(0.1, 0.5), cand(0.9, 2.0)]
+        cands = cset([(1.0, 5.0), (0.1, 0.5), (0.9, 2.0)])
         sel = cei_select(cands, 1.0)
         assert sel.chosen.cost_pred == 0.5
 
@@ -326,7 +345,7 @@ class TestCEISelect:
             cands = random_candidates(rng, int(rng.integers(1, 60)), duplicates=True)
             sel = cei_select(cands, float(rng.uniform()))
             assert not any(
-                dominates(other, sel.chosen) == "strict" for other in cands
+                dominates(other, sel.chosen) == "strict" for other in members(cands)
             )
 
     def test_lambda_monotonicity(self):
@@ -343,7 +362,7 @@ class TestCEISelect:
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            cei_select([], 0.5)
+            cei_select(cset([]), 0.5)
 
 
 class TestSelect:
@@ -358,7 +377,7 @@ class TestSelect:
         assert select(EIpu(), cands).chosen_index == select(EIAlpha(1.0), cands).chosen_index
 
     def test_zero_ei_plateau_picks_cheapest(self):
-        cands = [cand(0.0, 3.0), cand(0.0, 1.0), cand(0.0, 2.0)]
+        cands = cset([(0.0, 3.0), (0.0, 1.0), (0.0, 2.0)])
         sel = select(EI(), cands)
         assert sel.degenerate
         assert sel.chosen.cost_pred == 1.0
@@ -372,27 +391,25 @@ class TestSelect:
             for kind in kinds:
                 sel = select(kind, cands, spent=float(rng.uniform(1, 10)))
                 assert not any(
-                    dominates(other, sel.chosen) == "strict" for other in cands
+                    dominates(other, sel.chosen) == "strict" for other in members(cands)
                 )
 
 
 class TestImpliedAlpha:
     def test_max_ei_choice_matches_alpha_zero(self):
-        cands = [cand(1.0, 5.0), cand(0.6, 1.0), cand(0.2, 0.5)]
+        cands = cset([(1.0, 5.0), (0.6, 1.0), (0.2, 0.5)])
         sel = cei_select(cands, 0.0)  # picks the max-EI point
         value = implied_alpha(sel)
         assert value is not None
         # alpha = 0 must reproduce the choice
-        scores = np.array([c.ei for c in cands])
-        assert int(np.argmax(scores)) == sel.chosen_index
+        assert int(np.argmax(cands.ei)) == sel.chosen_index
 
     def test_eipu_choice_interval_contains_one(self):
         # candidate 1 maximizes ei/cost; CEI with moderate lambda picks it
-        cands = [cand(1.0, 4.0), cand(0.9, 1.0), cand(0.3, 0.9)]
+        cands = cset([(1.0, 4.0), (0.9, 1.0), (0.3, 0.9)])
         sel = cei_select(cands, 0.15)
         assert sel.chosen_index == 1
-        eis = np.array([c.ei for c in cands])
-        costs = np.array([c.cost_pred for c in cands])
+        eis, costs = cands.ei, cands.cost
         matched = [
             g
             for g, alpha in enumerate(IMPLIED_ALPHA_GRID)
@@ -405,10 +422,9 @@ class TestImpliedAlpha:
         assert lo <= value <= hi
 
     def test_grid_scan_matches_exhaustive_oracle(self):
-        cands = [cand(1.0, 10.0), cand(0.9, 2.0), cand(0.5, 1.0)]
+        cands = cset([(1.0, 10.0), (0.9, 2.0), (0.5, 1.0)])
         sel = cei_select(cands, 0.2)
-        eis = np.array([c.ei for c in cands])
-        costs = np.array([c.cost_pred for c in cands])
+        eis, costs = cands.ei, cands.cost
         matches = []
         for alpha in IMPLIED_ALPHA_GRID:
             scores = eis / costs**alpha
@@ -438,7 +454,7 @@ class TestImpliedAlpha:
     def test_none_when_unreproducible(self):
         # cheap mid-EI point shadowed at every alpha by the cheaper-but-lower
         # and dearer-but-higher alternatives
-        cands = [cand(1.0, 1.0), cand(0.99, 0.99), cand(0.5, 0.98)]
+        cands = cset([(1.0, 1.0), (0.99, 0.99), (0.5, 0.98)])
         sel = cei_select(cands, 0.03)
         assert sel.chosen_index == 1
         assert implied_alpha(sel) is None or implied_alpha(sel) >= 0
@@ -498,9 +514,7 @@ class TestPropose:
                     & (scored.ei >= sel.chosen.ei)
                     & ((scored.cost < sel.chosen.cost_pred) | (scored.ei > sel.chosen.ei))
                 )
-                assert [(c.ei, c.cost_pred) for c in sel.front] == [
-                    (c.ei, c.cost_pred) for c in pareto_front(scored)
-                ]
+                assert pairs(sel.front) == pairs(pareto_front(scored))
 
     def test_cost_floor_applied(self):
         rng, X, y, model, _ = self.toy_setup(0)

@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from paretobo.acquisition import (
-    Candidate,
+    CandidateSet,
     dominates,
     ei,
     pareto_front,
     score_candidates,
 )
 from paretobo.cost import ConstantCost
-from paretobo.diagnostics import (
-    FrontSnapshot,
-    ei_decomposition,
-    front_persistence,
-)
+from paretobo.diagnostics import ei_decomposition, front_persistence
 from paretobo.surrogate import KernelParams, build_model, gp_posterior
 
 
@@ -79,9 +75,8 @@ class TestDecomposition:
 
 class TestPersistence:
     @staticmethod
-    def snapshot_from(model, cost_model, points, f_min, iteration=1):
-        cands = scored(points, model, cost_model, f_min)
-        return FrontSnapshot(iteration=iteration, front=tuple(pareto_front(cands)))
+    def front_of(model, cost_model, points, f_min):
+        return pareto_front(scored(points, model, cost_model, f_min))
 
     def test_unchanged_models_full_survival(self):
         model = toy_model(2)
@@ -89,26 +84,21 @@ class TestPersistence:
         rng = np.random.default_rng(3)
         points = rng.uniform(size=(12, 2))
         f_min = 0.0
-        snap = self.snapshot_from(model, cost_model, points, f_min)
-        stat = front_persistence(snap, model, cost_model, f_min, snap.front, 1e-6)
-        assert stat.survived == stat.total == len(snap.front)
+        front = self.front_of(model, cost_model, points, f_min)
+        stat = front_persistence(front, model, cost_model, f_min, front, 1e-6)
+        assert stat.survived == stat.total == len(front)
 
     def test_constructed_dethroning(self):
         model = toy_model(4)
         cost_model = ConstantCost(log_cost=0.0, _space=None)
         old_point = model.train_inputs[0]
-        old_front = (Candidate(point=old_point, ei=0.9, cost_pred=1.0),)
+        old_front = CandidateSet(old_point[None, :], np.array([0.9]), np.array([1.0]))
         post = gp_posterior(model, old_point)
         # incumbent far below the posterior: re-scored EI collapses to ~0
         f_min = post.mean - 10 * np.sqrt(post.variance) - 5.0
-        challenger = Candidate(point=np.array([0.9, 0.9]), ei=0.5, cost_pred=0.5)
+        challenger = CandidateSet(np.array([[0.9, 0.9]]), np.array([0.5]), np.array([0.5]))
         stat = front_persistence(
-            FrontSnapshot(iteration=1, front=old_front),
-            model,
-            cost_model,
-            f_min,
-            [challenger],
-            cost_floor=1e-6,
+            old_front, model, cost_model, f_min, challenger, cost_floor=1e-6
         )
         assert stat.total == 1
         assert stat.survived == 0
@@ -120,14 +110,16 @@ class TestPersistence:
             m_t1 = toy_model(seed + 50, n=5)
             cost_model = ConstantCost(log_cost=0.2, _space=None)
             points = rng.uniform(size=(15, 2))
-            snap = self.snapshot_from(m_t, cost_model, points, 0.5)
+            prev_front = self.front_of(m_t, cost_model, points, 0.5)
             current = scored(rng.uniform(size=(15, 2)), m_t1, cost_model, 0.2)
             current_front = pareto_front(current)
-            stat = front_persistence(snap, m_t1, cost_model, 0.2, current_front, 1e-6)
+            stat = front_persistence(
+                prev_front, m_t1, cost_model, 0.2, current_front, 1e-6
+            )
 
-            new = scored([c.point for c in snap.front], m_t1, cost_model, 0.2)
+            new = scored(prev_front.points, m_t1, cost_model, 0.2)
             rescored = [new[i] for i in range(len(new))]
-            union = rescored + list(current_front)
+            union = rescored + [current_front[i] for i in range(len(current_front))]
             expected = sum(
                 1
                 for c in rescored
@@ -140,4 +132,5 @@ class TestPersistence:
             assert stat.survived == expected
             assert 0 <= stat.survived <= stat.total
             assert len(stat.flags) == stat.total
-            assert len(stat.rescored) == stat.total
+            assert stat.rescored.ei.tolist() == new.ei.tolist()
+            assert stat.rescored.cost.tolist() == new.cost.tolist()

@@ -296,9 +296,8 @@ class TestTraceIO:
             assert a.incumbent == b.incumbent
             assert a.cei_threshold == b.cei_threshold
             if a.front is not None:
-                assert [(c.ei, c.cost_pred) for c in a.front] == [
-                    (c.ei, c.cost_pred) for c in b.front
-                ]
+                assert a.front.ei.tolist() == b.front.ei.tolist()
+                assert a.front.cost.tolist() == b.front.cost.tolist()
 
     def test_round_trip_is_byte_identical_with_persistence(self, tmp_path):
         trace = run(
@@ -320,8 +319,7 @@ class TestTraceIO:
             assert r.max_ei is not None
             assert r.cei_threshold is not None
             assert r.front is not None
-            costs = [c.cost_pred for c in r.front]
-            assert costs == sorted(costs)
+            assert np.all(np.diff(r.front.cost) >= 0)
 
     def test_summary_row_fields(self):
         trace = run(quick_problem(), quick_config())
@@ -361,7 +359,7 @@ class TestTraceIO:
             floor = 0.01 * min(seen)
             assert floor > 1e-4 * 2.0
             assert r.chosen_cost_pred == floor
-            assert all(new[1] == floor for _, new in r.persistence.rescored)
+            assert np.all(r.persistence.rescored.cost == floor)
             checked += 1
         assert checked == 2
 

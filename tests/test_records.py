@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paretobo import acquisition as acq
-from paretobo.acquisition import Candidate, kind_from_dict, kind_to_dict
+from paretobo.acquisition import CandidateSet, kind_from_dict, kind_to_dict
 from paretobo.cost import ONLINE_COST_KINDS
 from paretobo.diagnostics import PersistenceStat
 from paretobo.engine import IterationRecord, Iterations, RunConfig, SimulatedCost
@@ -62,12 +62,10 @@ def records(draw):
         degenerate=draw(st.none() | st.booleans()),
         front=None
         if front is None
-        else tuple(
-            Candidate(point=np.full(dim, 0.5), ei=e, cost_pred=c) for e, c in front
-        ),
+        else CandidateSet(np.full((len(front), dim), 0.5), *np.array(front).T),
         persistence=None
         if persistence is None
-        else PersistenceStat(*persistence, rescored=()),
+        else PersistenceStat(*persistence, rescored=None),
     )
 
 
