@@ -394,8 +394,13 @@ def run(
 
         valid = [r for r in records if not r.failed]
         if not valid:
-            # No usable data yet (e.g. failing init design): sample uniformly.
-            point = sample_uniform(space, rng, 1)[0]
+            # No usable data yet (e.g. failing init design): a random row of
+            # the table in replay, else a uniform sample.
+            pool = problem.candidate_pool
+            if pool is not None:
+                point = pool[rng.choice(pool.shape[0])]
+            else:
+                point = sample_uniform(space, rng, 1)[0]
             record_eval(point, "bo")
             continue
 

@@ -384,3 +384,29 @@ class TestTabularRuns:
         table_points = {tuple(np.round(r, 12)) for r in problem.candidate_pool}
         for record in trace.records:
             assert tuple(np.round(record.point, 12)) in table_points
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_fallback_without_valid_rows_stays_on_the_table(self, tmp_path, seed):
+        # 11 of 12 rows have y = nan, so the loop often has no valid record
+        # yet and must fall back to a draw; that draw must be a table row.
+        space = SearchSpace(
+            [Dimension("a", "continuous", 0, 1), Dimension("b", "continuous", 0, 1)]
+        )
+        rows = np.random.default_rng(13).uniform(size=(12, 2))
+        lines = ["a,b,y,cost"]
+        for i, r in enumerate(rows):
+            lines.append(f"{r[0]},{r[1]},{1.0 if i == 0 else 'nan'},{1.0 + r[0]}")
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join(lines) + "\n")
+        from paretobo.bench import load_tabular
+
+        problem = load_tabular(path, space)
+        cfg = RunConfig(
+            seed=seed, budget=Iterations(12), init_design_size=2, candidate_count=16
+        )
+        trace = run(problem, cfg)
+        assert len(trace) == 12
+        table_points = {tuple(r) for r in problem.candidate_pool}
+        for record in trace.records:
+            assert tuple(record.point) in table_points
+        assert sum(not r.failed for r in trace.records) >= 1
