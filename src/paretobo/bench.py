@@ -277,14 +277,13 @@ def load_tabular(
     path: str | Path,
     space: SearchSpace,
     tolerance: float = 1e-9,
-    table_mode: bool = True,
 ) -> BlackBox:
     """Replay recorded evaluations from CSV (dimension columns, `y`, `cost`).
 
     Queries return the nearest recorded row within ``tolerance`` (Euclidean,
-    unit coordinates); anything farther raises. With ``table_mode`` the
-    black-box exposes its rows as the candidate pool, so proposals snap to
-    recorded configurations and objective values are never interpolated.
+    unit coordinates); anything farther raises. The black box exposes its
+    rows as the candidate pool, so proposals snap to recorded configurations
+    and objective values are never interpolated.
     """
     rows_y: list[float] = []
     rows_cost: list[float] = []
@@ -330,7 +329,7 @@ def load_tabular(
         name=f"tabular:{Path(path).name}",
         params={"rows": len(y_arr), "tolerance": tolerance},
         f_opt=float(np.min(y_arr)),
-        candidate_pool=table if table_mode else None,
+        candidate_pool=table,
     )
 
 

@@ -29,6 +29,9 @@ LOG_LENGTHSCALE_BOUNDS = (math.log(1e-3), math.log(1e3))
 LOG_NOISE_BOUNDS = (math.log(1e-8), math.log(1e2))
 MEAN_BOUNDS = (-5.0, 5.0)
 
+# L-BFGS-B iteration cap per start of a hyperparameter fit.
+LBFGS_MAXITER = 60
+
 # Diagonal jitter escalation on Cholesky failure.
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
@@ -259,7 +262,6 @@ def gp_fit(
     restarts: int = 5,
     rng: np.random.Generator | None = None,
     warm_start: KernelParams | None = None,
-    maxiter: int = 60,
 ) -> GPModel:
     """Fit GP hyperparameters by multi-start L-BFGS-B on the MLL.
 
@@ -325,7 +327,7 @@ def gp_fit(
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": maxiter},
+            options={"maxiter": LBFGS_MAXITER},
         )
         init_mlls.append(mll_at(theta0))
         evaluated.append((init_mlls[-1], theta0))

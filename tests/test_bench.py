@@ -180,7 +180,6 @@ class TestTabular:
         path = tmp_path / "t.csv"
         self.write_table(path, space, rows)
         assert load_tabular(path, space).candidate_pool.shape == (6, 2)
-        assert load_tabular(path, space, table_mode=False).candidate_pool is None
 
     def test_best_row_is_known_optimum(self, tmp_path):
         space = OBJECTIVES["branin"].space
