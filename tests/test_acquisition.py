@@ -259,7 +259,8 @@ def reference_select(kind, listed, spent):
         chosen = min(feasible, key=lambda i: (listed[i].cost_pred, -listed[i].ei, i))
         return chosen, threshold
     scores = [score(kind, c, spent) for c in listed]
-    best = [i for i, v in enumerate(scores) if v == max(scores)]
+    top = max(scores)
+    best = [i for i, v in enumerate(scores) if v == top]
     return min(best, key=lambda i: (listed[i].cost_pred, i)), None
 
 
