@@ -34,7 +34,8 @@ from .surrogate import GPModel, gp_posterior_many
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Candidate generation defaults: see propose().
+# Candidate generation: the default quasi-random count, and the fixed local
+# perturbations (count per past point, unit-cube sd); see generate_candidates().
 DEFAULT_CANDIDATE_COUNT = 2048
 PERTURBATIONS_PER_HISTORY_POINT = 10
 PERTURBATION_SD = 0.05
@@ -320,8 +321,6 @@ def generate_candidates(
     candidate_count: int,
     rng: np.random.Generator,
     candidate_pool: np.ndarray | None = None,
-    perturbations_per_point: int = PERTURBATIONS_PER_HISTORY_POINT,
-    perturbation_sd: float = PERTURBATION_SD,
 ) -> np.ndarray:
     """Candidate set: quasi-random points plus local history perturbations.
 
@@ -341,11 +340,10 @@ def generate_candidates(
         warnings.simplefilter("ignore", UserWarning)  # non-power-of-two draws
         sobol = qmc.Sobol(d=dim, scramble=True, seed=rng)
         cands = sobol.random(candidate_count)
-    if history_points is not None and len(history_points) > 0 and perturbations_per_point > 0:
+    if history_points is not None and len(history_points) > 0:
         hist = np.atleast_2d(np.asarray(history_points, dtype=float))
-        noise = rng.normal(
-            0.0, perturbation_sd, size=(hist.shape[0], perturbations_per_point, dim)
-        )
+        shape = (hist.shape[0], PERTURBATIONS_PER_HISTORY_POINT, dim)
+        noise = rng.normal(0.0, PERTURBATION_SD, size=shape)
         local = np.clip(hist[:, None, :] + noise, 0.0, 1.0).reshape(-1, dim)
         cands = np.vstack([cands, local])
     return cands
@@ -389,8 +387,6 @@ def propose(
     rng: np.random.Generator,
     spent: float = 0.0,
     candidate_pool: np.ndarray | None = None,
-    perturbations_per_point: int = PERTURBATIONS_PER_HISTORY_POINT,
-    perturbation_sd: float = PERTURBATION_SD,
 ) -> SelectionResult:
     """One acquisition step: generate, score, and select a candidate.
 
@@ -399,13 +395,7 @@ def propose(
     :func:`cost_floor_for`).
     """
     points = generate_candidates(
-        model.train_inputs.shape[1],
-        history_points,
-        candidate_count,
-        rng,
-        candidate_pool,
-        perturbations_per_point,
-        perturbation_sd,
+        model.train_inputs.shape[1], history_points, candidate_count, rng, candidate_pool
     )
     f_min = float(np.min(history_targets))
     cost_pred = cost_model.predict_unit(points)

@@ -356,10 +356,9 @@ def synthetic_cost_samples(
     coefs: np.ndarray,
     interaction: tuple[int, int, float] | None = None,
     noise_sd: float = 0.1,
-    bias: float = 1.0,
     box: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[CostSample]:
-    """Multiplicative cost law: log cost linear in unit coordinates.
+    """Multiplicative cost law: log cost = 1 + coefs . u, plus noise.
 
     ``coefs`` has one entry per dimension (zero = inactive feature);
     ``interaction`` optionally adds gamma * u_i * u_j. ``box`` restricts
@@ -369,7 +368,7 @@ def synthetic_cost_samples(
     lo = np.zeros(len(space)) if box is None else np.asarray(box[0], dtype=float)
     hi = np.ones(len(space)) if box is None else np.asarray(box[1], dtype=float)
     U = rng.uniform(lo, hi, size=(n, len(space)))
-    logc = bias + U @ np.asarray(coefs, dtype=float)
+    logc = 1.0 + U @ np.asarray(coefs, dtype=float)
     if interaction is not None:
         i, j, gamma = interaction
         logc = logc + gamma * U[:, i] * U[:, j]
@@ -425,15 +424,10 @@ def synthetic_transfer_tasks(
     n_per_task: int,
     rng: np.random.Generator,
     coefs: np.ndarray,
-    rows_coef: float = 1.0,
-    cols_coef: float = 0.5,
-    noise_sd: float = 0.05,
-    bias: float = 0.0,
 ) -> TransferDataset:
     """Multi-task cost law with meta-feature effects.
 
-    log cost = bias + rows_coef*log(rows) + cols_coef*log(cols)
-             + coefs . u + noise
+    log cost = log(rows) + 0.5*log(cols) + coefs . u + noise, noise ~ N(0, 0.05^2)
     """
     tasks = []
     for _ in range(n_tasks):
@@ -444,13 +438,11 @@ def synthetic_transfer_tasks(
         )
         U = rng.uniform(0.0, 1.0, size=(n_per_task, len(space)))
         logc = (
-            bias
-            + rows_coef * math.log(meta.n_rows)
-            + cols_coef * math.log(meta.n_cols)
+            math.log(meta.n_rows)
+            + 0.5 * math.log(meta.n_cols)
             + U @ np.asarray(coefs, dtype=float)
         )
-        if noise_sd > 0:
-            logc = logc + noise_sd * rng.normal(size=n_per_task)
+        logc = logc + 0.05 * rng.normal(size=n_per_task)
         samples = [
             CostSample(config=from_unit(space, u), cost=float(np.exp(lc)))
             for u, lc in zip(U, logc)

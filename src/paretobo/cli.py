@@ -185,8 +185,7 @@ def run_grid(
     problems: list[str],
     seeds: int,
     out_dir: Path,
-    iterations: int | None = None,
-    cost_budget: float | None = None,
+    iterations: int,
     noise_sd: float = 0.0,
     cost_model: str = "lv3",
     candidate_count: int = acq.DEFAULT_CANDIDATE_COUNT,
@@ -198,9 +197,6 @@ def run_grid(
     script calling this must guard its entry point with
     ``if __name__ == "__main__"``.
     """
-    budget = (
-        Iterations(iterations) if iterations is not None else SimulatedCost(cost_budget)
-    )
     tasks = [
         RunTask(
             problem_id=problem,
@@ -209,7 +205,7 @@ def run_grid(
                 seed=seed,
                 acquisition=kind,
                 cost_model=cost_model,
-                budget=budget,
+                budget=Iterations(iterations),
                 candidate_count=candidate_count,
             ),
             out_dir=str(out_dir),
@@ -262,17 +258,14 @@ def _read_manifest(out_dir: Path) -> list[dict]:
         return list(csv.DictReader(handle))
 
 
-def bootstrap_ci(
-    values: np.ndarray, stat=np.mean, n_boot: int = BOOTSTRAP_RESAMPLES
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap 95% interval of ``stat`` over rows."""
+def bootstrap_ci(values: np.ndarray) -> tuple[float, float]:
+    """Seeded percentile bootstrap 95% interval of the mean of 1-D ``values``."""
     rng = np.random.default_rng(BOOTSTRAP_SEED)
     values = np.asarray(values)
     n = values.shape[0]
-    stats = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        stats[b] = stat(values[idx], axis=0) if values.ndim == 1 else stat(values[idx])
+    stats = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
+        stats[b] = np.mean(values[rng.integers(0, n, size=n)])
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
@@ -456,14 +449,11 @@ def _write_ranks(manifest: list[dict], multiples: str, out_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 COST_EVAL_KINDS = ("lv1", "lv2", "lv3", "warped_gp", "gplv3", "limited_gp3")
+COST_EVAL_TEST_SIZE = 200  # held-out samples per seed
 
 
 def cost_model_sweep(
-    train_sizes: list[int],
-    seeds: int,
-    kinds: tuple[str, ...] = COST_EVAL_KINDS,
-    samples_loader=None,
-    test_size: int = 200,
+    train_sizes: list[int], seeds: int, samples_loader=None
 ) -> list[dict]:
     """Held-out log-RMSE per (model kind, n_train), averaged over seeds.
 
@@ -478,11 +468,12 @@ def cost_model_sweep(
         rng = np.random.default_rng(1000 + seed)
         if samples_loader is None:
             eval_space, train_pool, test = cost_suite_split(
-                rng, max(train_sizes), n_test=test_size
+                rng, max(train_sizes), n_test=COST_EVAL_TEST_SIZE
             )
         else:
             pool, eval_space = samples_loader(rng)
-            test = pool[-test_size:] if len(pool) > test_size else pool[len(pool) // 2 :]
+            n_test = COST_EVAL_TEST_SIZE
+            test = pool[-n_test:] if len(pool) > n_test else pool[len(pool) // 2 :]
             train_pool = pool[: len(pool) - len(test)]
         for n_train in train_sizes:
             if n_train > len(train_pool):
@@ -491,7 +482,7 @@ def cost_model_sweep(
             train = train_pool[:n_train]
             U = unit_matrix(eval_space, train)
             costs = np.array([s.cost for s in train])
-            for kind in kinds:
+            for kind in COST_EVAL_KINDS:
                 model = fit_cost_model_unit(
                     kind, eval_space, U, costs, np.random.default_rng(seed)
                 )
@@ -517,14 +508,18 @@ def cost_model_sweep(
     return out
 
 
-def transfer_loto(seeds: int, n_tasks: int = 5, n_per_task: int = 40) -> list[dict]:
-    """Leave-one-task-out comparison of transfer cost models."""
+def transfer_loto(seeds: int) -> list[dict]:
+    """Leave-one-task-out comparison of transfer cost models.
+
+    Each seed draws 5 synthetic tasks of 40 samples; each task is held out once.
+    """
+    n_tasks = 5
     space = cost_bench_space(7)
     coefs = np.array([2.0, 0.0, -1.5, 0.0, 1.0, 0.0, 0.0])
     rmses: dict[str, list[float]] = {"transfer_task_aware": [], "transfer_naive": []}
     for seed in range(seeds):
         rng = np.random.default_rng(5000 + seed)
-        data = synthetic_transfer_tasks(space, n_tasks, n_per_task, rng, coefs)
+        data = synthetic_transfer_tasks(space, n_tasks, 40, rng, coefs)
         for held_out in range(n_tasks):
             train_tasks = [t for i, t in enumerate(data.tasks) if i != held_out]
             meta, test_samples = data.tasks[held_out]

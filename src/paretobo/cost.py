@@ -323,9 +323,8 @@ def transfer_fit(
     space: SearchSpace,
     data: TransferDataset,
     kind: str,
-    k: int = 3,
 ) -> LinearCost:
-    """Offline LV model pooled across tasks.
+    """Offline LV3 model pooled across tasks.
 
     ``task_aware`` appends log meta-features (rows, cols, log1p classes) as
     regressors, so predictions need the target task's meta-features;
@@ -341,7 +340,7 @@ def transfer_fit(
         )
     U = unit_matrix(space, samples)
     logc = np.log([s.cost for s in samples])
-    model = _fit_lv(space, U, logc, k=k, meta_cols=meta_cols)
+    model = _fit_lv(space, U, logc, k=3, meta_cols=meta_cols)
     model.kind = f"transfer_{kind}"
     return model
 

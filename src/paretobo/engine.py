@@ -426,8 +426,6 @@ def run(
             rng=rng,
             spent=cumulative,
             candidate_pool=problem.candidate_pool,
-            perturbations_per_point=cfg.perturbations_per_point,
-            perturbation_sd=cfg.perturbation_sd,
         )
         record = record_eval(sel.chosen.point, "bo", sel, resolved_kind)
 
