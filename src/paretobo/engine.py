@@ -54,6 +54,9 @@ class SimulatedCost:
 
 Budget = Iterations | SimulatedCost
 
+# Hyperparameter restarts of the objective GP fit in every iteration.
+GP_RESTARTS = 2
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,9 +66,6 @@ class RunConfig:
     budget: Budget = Iterations(50)
     init_design_size: int | None = None  # default: max(5, dimension count)
     candidate_count: int = acq.DEFAULT_CANDIDATE_COUNT
-    perturbations_per_point: int = acq.PERTURBATIONS_PER_HISTORY_POINT
-    perturbation_sd: float = acq.PERTURBATION_SD
-    gp_restarts: int = 2
 
     def to_dict(self) -> dict:
         row = asdict(self)
@@ -408,7 +408,7 @@ def run(
         ys = np.array([r.y for r in valid])
         costs = np.array([r.cost for r in valid])
 
-        model = gp_fit(X, ys, restarts=cfg.gp_restarts, rng=rng, warm_start=gp_params)
+        model = gp_fit(X, ys, restarts=GP_RESTARTS, rng=rng, warm_start=gp_params)
         gp_params = model.params
         cost_model = fixed_cost_model
         if cost_model is None:

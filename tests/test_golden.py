@@ -18,15 +18,15 @@ from paretobo.space import from_unit, xgboost_space
 
 # Criterion 12's configuration: branin/expensive, CEI(0.5), 15 evaluations.
 CEI_BRANIN_SHA = (
-    "8fb51ee8e8f58adddf91a696eec81bfe583409add80706b6b700a67e0d7f95ef"
+    "09be6a68b5e1a879a6ead16cf00215d5df430217ff50ade6877ad05bbbe2b268"
 )
 # hartmann3/expensive, EIpu, 12 evaluations, 2048 candidates, persistence on.
 EIPU_HARTMANN3_SHA = (
-    "b95b5e03e22e152b2163b80e0c82504fb97e70b49c024dcb4e9bc6921331bfdc"
+    "1793cc781d67448dd22fdac56f0a3bab06f2993ee6d368ef8175e0603864f545"
 )
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
-    "48b73acf79512f155a53c0e2fec99dbe9109324195fc6e1195c8318fe04953dd"
+    "42f2f4fcf01ffb9474efa355b99dcbb53f9259cba3ef0c21215f07ed0275f322"
 )
 # `paretobo pareto-trace`: the trace and its four CSVs, in PARETO_TRACE_FILES order.
 PARETO_TRACE_FILES = (
@@ -37,7 +37,7 @@ PARETO_TRACE_FILES = (
     "implied_alpha.csv",
 )
 PARETO_TRACE_SHA = (
-    "672d7e314ed2d7653fb0f95a7f2fb72810c873d62643a4ed15d89a47484b387a"
+    "8b48a08dc3a8ddf2c80d51e4087cad4bb7c099f7345d063caea5f5100b3608ee"
 )
 
 

@@ -105,9 +105,6 @@ def reference_run_config_dict(cfg: RunConfig) -> dict:
         "budget": budget,
         "init_design_size": cfg.init_design_size,
         "candidate_count": cfg.candidate_count,
-        "perturbations_per_point": cfg.perturbations_per_point,
-        "perturbation_sd": cfg.perturbation_sd,
-        "gp_restarts": cfg.gp_restarts,
     }
 
 
@@ -120,9 +117,6 @@ run_configs = st.builds(
     | st.builds(SimulatedCost, positive),
     init_design_size=st.none() | st.integers(1, 50),
     candidate_count=st.integers(1, 10_000),
-    perturbations_per_point=st.integers(0, 20),
-    perturbation_sd=st.floats(0.0, 1.0),
-    gp_restarts=st.integers(0, 5),
 )
 
 
