@@ -434,24 +434,27 @@ def kind_from_dict(payload: dict) -> AcquisitionKind:
 
 
 def parse_kind(text: str) -> AcquisitionKind:
-    """Parse CLI notation: ei, eipu, alpha:0.5, cei:0.25, ei-cool[:TOTAL]."""
-    parts = text.strip().lower().split(":")
-    name = parts[0]
+    """Parse CLI notation: ei, eipu, alpha:0.5, cei:0.25, ei-cool[:TOTAL[:INIT]]."""
+    name, *parts = text.strip().lower().split(":")
+    try:
+        values = [float(v) for v in parts]
+    except ValueError as err:
+        raise ConfigError(f"acquisition {text!r}: {err}") from None
     if name == "ei":
         return EI()
     if name == "eipu":
         return EIpu()
     if name in ("alpha", "ei-alpha", "ei_alpha"):
-        if len(parts) != 2:
+        if len(values) != 1:
             raise ConfigError(f"expected alpha:<value>, got {text!r}")
-        return EIAlpha(alpha=float(parts[1]))
+        return EIAlpha(alpha=values[0])
     if name == "cei":
-        if len(parts) != 2:
+        if len(values) != 1:
             raise ConfigError(f"expected cei:<lambda>, got {text!r}")
-        return CEI(lam=float(parts[1]))
+        return CEI(lam=values[0])
     if name in ("ei-cool", "ei_cool", "cool"):
-        total = float(parts[1]) if len(parts) > 1 else None
-        init = float(parts[2]) if len(parts) > 2 else None
+        total = values[0] if len(values) > 0 else None
+        init = values[1] if len(values) > 1 else None
         return EICool(total_budget=total, init_budget=init)
     raise ConfigError(f"unknown acquisition {text!r}")
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +71,6 @@ from .space import SearchSpace
 
 BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_SEED = 2024
-DEFAULT_MULTIPLES = (1.0, 5.0, 10.0, 20.0)
 MARKER_ALPHAS = (0.0, 0.25, 0.5, 1.0)
 
 SUITES = {
@@ -224,8 +222,8 @@ def _run_suite_grid(
     args: argparse.Namespace, methods: list[acq.AcquisitionKind]
 ) -> list[dict]:
     """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids."""
-    methods = methods + [acq.EIAlpha(a) for a in _parse_floats(args.alphas) if a > 0]
-    methods += [acq.CEI(l) for l in _parse_floats(args.lambdas)]
+    methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a > 0]
+    methods += [acq.CEI(l) for l in _parse_numbers(args.lambdas)]
     return run_grid(
         methods,
         suite_problems(args.suite),
@@ -422,20 +420,24 @@ def aggregate_ranks(
 
 
 def cmd_time_alloc(args: argparse.Namespace) -> int:
+    multiples = tuple(_parse_numbers(args.multiples))
     manifest = _run_suite_grid(args, [acq.EI(), acq.EIpu()])
-    _write_ranks(manifest, args.multiples, Path(args.out))
+    _write_ranks(manifest, multiples, Path(args.out))
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    multiples = tuple(_parse_numbers(args.multiples))
     manifest = _read_manifest(Path(args.runs))
-    _write_ranks(manifest, args.multiples, Path(args.out or args.runs))
+    _write_ranks(manifest, multiples, Path(args.out or args.runs))
     return 0
 
 
-def _write_ranks(manifest: list[dict], multiples: str, out_dir: Path) -> None:
+def _write_ranks(
+    manifest: list[dict], multiples: tuple[float, ...], out_dir: Path
+) -> None:
     """Aggregate ranks, write ``ranks.csv`` and print the table."""
-    table = aggregate_ranks(manifest, tuple(_parse_floats(multiples)))
+    table = aggregate_ranks(manifest, multiples)
     _write_csv(out_dir / "ranks.csv", table)
     for row in table:
         print(
@@ -559,7 +561,7 @@ def cmd_cost_eval(args: argparse.Namespace) -> int:
             return [samples[i] for i in idx], space
 
     table = cost_model_sweep(
-        _parse_ints(args.train_sizes), args.seeds, samples_loader=loader
+        _parse_numbers(args.train_sizes, int), args.seeds, samples_loader=loader
     )
     _write_csv(out_dir / "cost_eval.csv", table)
     transfer_table = transfer_loto(args.seeds)
@@ -701,12 +703,12 @@ def _run_config(args: argparse.Namespace, budget: Budget) -> RunConfig:
     )
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+def _parse_numbers(text: str, convert=float) -> list:
+    """A comma-separated option value; a malformed entry is a ConfigError."""
+    try:
+        return [convert(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as err:
+        raise ConfigError(f"malformed list {text!r}: {err}") from None
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:

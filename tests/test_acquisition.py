@@ -573,9 +573,10 @@ class TestKindCodecs:
     def test_parse(self, text, expected):
         assert parse_kind(text) == expected
 
-    def test_parse_rejects_garbage(self):
+    @pytest.mark.parametrize("text", ["entropy", "alpha:abc", "cei:x", "ei-cool:x"])
+    def test_parse_rejects_garbage(self, text):
         with pytest.raises(ConfigError):
-            parse_kind("entropy")
+            parse_kind(text)
 
     def test_ids_unique(self):
         kinds = [EI(), EIpu(), EIAlpha(0.1), EIAlpha(1.0), CEI(0.5)]

@@ -304,14 +304,34 @@ class TestCommands:
             main([command, flag, value, "--out", str(tmp_path / "x")])
         assert exit_info.value.code == 2
 
-    def test_error_is_machine_readable(self, tmp_path, capsys):
-        code = main(
-            ["run", "--problem", "nope", "--out", str(tmp_path / "x")]
-        )
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            (["run", "--problem", "nope"], "nope"),
+            (["run", "--acq", "alpha:abc"], "abc"),
+            (["pareto-trace", "--acq", "cei:zz"], "zz"),
+            (["biopt", "--alphas", "0.1,q1"], "q1"),
+            (["biopt", "--lambdas", "0.5,q2"], "q2"),
+            (
+                ["time-alloc", "--suite", "quick", "--seeds", "1", "--iters", "2",
+                 "--multiples", "1,q3"],
+                "q3",
+            ),
+            (["rank", "--runs", "missing", "--multiples", "1,q4"], "q4"),
+            (["cost-eval", "--train-sizes", "4,q5"], "q5"),
+        ],
+        ids=[
+            "unknown-problem", "acq-alpha", "acq-cei", "alphas", "lambdas",
+            "time-alloc-multiples", "rank-multiples", "train-sizes",
+        ],
+    )
+    def test_error_is_machine_readable(self, tmp_path, capsys, argv, bad):
+        code = main(argv + ["--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.strip()
         record = json.loads(err)
         assert record["error"] == "ConfigError"
+        assert repr(bad) in record["message"]
 
 
 class TestMalformedTraces:
