@@ -127,6 +127,7 @@ class SearchSpace:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SearchSpace":
+        """Inverse of :meth:`to_dict`; any malformed payload is a ConfigError."""
         try:
             dims = [
                 Dimension(
@@ -138,7 +139,7 @@ class SearchSpace:
                 )
                 for entry in payload["dimensions"]
             ]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed space config: {exc}") from exc
         return cls(dims)
 
@@ -147,7 +148,11 @@ class SearchSpace:
 
     @classmethod
     def load(cls, path: str | Path) -> "SearchSpace":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a space saved by :meth:`save`; a malformed file is a ConfigError."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except ValueError as exc:  # a JSONDecodeError or a ConfigError
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def to_unit(space: SearchSpace, cfg: Iterable[float]) -> np.ndarray:

@@ -171,6 +171,13 @@ class TestSerialization:
         loaded = SearchSpace.load(path)
         assert loaded.to_dict() == space.to_dict()
 
-    def test_malformed_config(self):
+    def test_malformed_config(self, tmp_path):
         with pytest.raises(ConfigError):
             SearchSpace.from_dict({"dimensions": [{"name": "x"}]})
+        entry = {"name": "x", "kind": "continuous", "lower": "abc", "upper": 1.0}
+        with pytest.raises(ConfigError, match="abc"):
+            SearchSpace.from_dict({"dimensions": [entry]})
+        path = tmp_path / "space.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigError, match="space.json"):
+            SearchSpace.load(path)
