@@ -297,14 +297,14 @@ def load_tabular(
             raise DataError(f"{path}: missing columns {missing}")
         for row_num, row in enumerate(reader, start=2):
             try:
-                config = np.array([float(row[n]) for n in space.names])
+                unit = to_unit(space, [float(row[n]) for n in space.names])
                 y = float(row["y"])
                 c = float(row["cost"])
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{row_num}: malformed row: {exc}") from exc
             if c <= 0:
                 raise DataError(f"{path}:{row_num}: cost must be positive, got {c}")
-            units.append(to_unit(space, config))
+            units.append(unit)
             rows_y.append(y)
             rows_cost.append(c)
     if not units:

@@ -376,10 +376,9 @@ def load_cost_csv(path: str | Path, space: SearchSpace) -> list[CostSample]:
         for row_num, row in enumerate(reader, start=2):
             try:
                 config = np.array([float(row[n]) for n in space.names])
-                cost = float(row["cost"])
+                samples.append(CostSample(config=config, cost=float(row["cost"])))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{row_num}: malformed row: {exc}") from exc
-            samples.append(CostSample(config=config, cost=cost))
     if not samples:
         raise DataError(f"{path}: no data rows")
     return samples
@@ -402,12 +401,12 @@ def load_transfer_csv(path: str | Path, space: SearchSpace) -> TransferDataset:
         for row_num, row in enumerate(reader, start=2):
             try:
                 config = np.array([float(row[n]) for n in space.names])
-                cost = float(row["cost"])
+                sample = CostSample(config=config, cost=float(row["cost"]))
                 meta = MetaFeatures(*(int(row[c]) for c in meta_cols))
             except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}:{row_num}: malformed row: {exc}") from exc
             if meta not in grouped:
                 grouped[meta] = []
                 order.append(meta)
-            grouped[meta].append(CostSample(config=config, cost=cost))
+            grouped[meta].append(sample)
     return TransferDataset(tasks=[(meta, grouped[meta]) for meta in order])

@@ -209,3 +209,7 @@ class TestTabular:
         nonpositive.write_text(",".join(space.names + ["y", "cost"]) + "\n0.0,1.0,2.0,0.0\n")
         with pytest.raises(DataError):
             load_tabular(nonpositive, space)
+        outside = tmp_path / "out.csv"
+        outside.write_text(",".join(space.names + ["y", "cost"]) + "\n99.0,1.0,2.0,1.0\n")
+        with pytest.raises(DataError, match="out.csv:2: malformed row"):
+            load_tabular(outside, space)

@@ -415,6 +415,9 @@ class TestCSV:
         path.write_text("x0,x1,cost\n1.0,oops,2.0\n")
         with pytest.raises(DataError, match="malformed"):
             load_cost_csv(path, log_space(2))
+        path.write_text("x0,x1,cost\n1.0,2.0,3.0\n1.0,2.0,nan\n")
+        with pytest.raises(DataError, match="bad.csv:3: malformed row"):
+            load_cost_csv(path, log_space(2))
 
     def test_transfer_csv_groups_by_meta(self, tmp_path):
         path = tmp_path / "transfer.csv"
