@@ -266,6 +266,7 @@ def _fit_gplv(space, U, logc, rng=None, *, k) -> GPCost:
     gp = gp_fit(U, resid, restarts=GP_RESTARTS, rng=rng)
     kind = f"gplv{len(base.selected_features)}"
     model = GPCost(_space=space, kind=kind, gp=gp, selected_features=(), base=base)
+    model.ridge_fallback = base.ridge_fallback
     # Keep the residual GP only when it does not worsen the in-sample fit,
     # so GPLV's training error never exceeds the base model's.
     gp_rmse = float(np.sqrt(np.mean((logc - model.predict_log_unit(U)) ** 2)))

@@ -164,6 +164,9 @@ class TestLVFit:
         model = fit("lv2", space, samples)
         assert model.ridge_fallback
         assert cost_rmse(model, samples) <= 1e-6
+        gplv = fit("gplv2", space, samples, np.random.default_rng(0))
+        assert gplv.base.ridge_fallback
+        assert gplv.ridge_fallback
 
 
 class TestGPFamilies:
