@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 
 from paretobo.acquisition import CEI, EIpu
-from paretobo.bench import load_tabular
+from paretobo.bench import cost_bench_space, load_tabular
 from paretobo.cli import build_problem, main
 from paretobo.engine import Iterations, RunConfig, run
 from paretobo.space import from_unit, xgboost_space
@@ -39,6 +39,11 @@ PARETO_TRACE_FILES = (
 PARETO_TRACE_SHA = (
     "8b48a08dc3a8ddf2c80d51e4087cad4bb7c099f7345d063caea5f5100b3608ee"
 )
+# `paretobo cost-eval --data`: both CSVs, then stdout.
+COST_EVAL_FILES = ("cost_eval.csv", "transfer_eval.csv")
+COST_EVAL_DATA_SHA = (
+    "4d28479417a10fc2b87b946ee83d71042024ead2d3de75bdd88265291054ffd4"
+)
 
 
 def _digest(trace, tmp_path) -> str:
@@ -60,6 +65,26 @@ def _replay_table(path, rows=120):
         lines.append(",".join(repr(float(v)) for v in [*config, y, cost]))
     path.write_text("\n".join(lines) + "\n")
     return space
+
+
+def _cost_table(path, space, rows=60):
+    """A seeded cost CSV: native configurations and a log-linear cost."""
+    rng = np.random.default_rng(13)
+    lines = [",".join(space.names + ["cost"])]
+    for u in rng.uniform(size=(rows, len(space))):
+        cost = float(np.exp(0.5 + 2.0 * u[0] - u[2] + 0.2 * rng.normal()))
+        lines.append(",".join(repr(float(v)) for v in [*from_unit(space, u), cost]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _file_digest(directory, names, extra: str = "") -> str:
+    digest = hashlib.sha256()
+    for name in names:
+        data = (directory / name).read_bytes()
+        digest.update(f"{name} {len(data)}\n".encode())
+        digest.update(data)
+    digest.update(extra.encode())
+    return digest.hexdigest()
 
 
 def test_cei_branin_expensive_digest(tmp_path):
@@ -100,11 +125,21 @@ def test_pareto_trace_outputs_digest(tmp_path):
         "--seed", "1", "--iters", "20", "--candidates", "256", "--out", str(tmp_path),
     ]
     assert main(argv) == 0
-    digest = hashlib.sha256()
-    for name in PARETO_TRACE_FILES:
-        data = (tmp_path / name).read_bytes()
-        digest.update(f"{name} {len(data)}\n".encode())
-        digest.update(data)
     fronts = (tmp_path / "fronts.csv").read_text().splitlines()
     assert any(line.endswith(",0") for line in fronts)  # survival flags are written
-    assert digest.hexdigest() == PARETO_TRACE_SHA
+    assert _file_digest(tmp_path, PARETO_TRACE_FILES) == PARETO_TRACE_SHA
+
+
+def test_cost_eval_data_outputs_digest(tmp_path, capsys):
+    space = cost_bench_space(4)
+    space.save(tmp_path / "cs.json")
+    _cost_table(tmp_path / "costs.csv", space)
+    out = tmp_path / "out"
+    argv = [
+        "cost-eval", "--data", str(tmp_path / "costs.csv"),
+        "--space-file", str(tmp_path / "cs.json"),
+        "--seeds", "2", "--train-sizes", "4,8,16", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert _file_digest(out, COST_EVAL_FILES, stdout) == COST_EVAL_DATA_SHA
