@@ -8,7 +8,6 @@ datasets. Every black-box evaluates unit-cube points and returns
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import CostSample, MetaFeatures, TransferDataset
-from .errors import ConfigError, DataError, OutOfTableError
+from .cost import CostSample, MetaFeatures, TransferDataset, check_cost, read_csv_rows
+from .errors import ConfigError, OutOfTableError
 from .space import Dimension, SearchSpace, from_unit, to_unit
 
 # ---------------------------------------------------------------------------
@@ -148,18 +147,6 @@ class ExpLinear:
 
 
 @dataclass(frozen=True)
-class Polynomial:
-    """cost(u) = coefficients[0] + sum_j coefficients[j+1] * u_j**degree."""
-
-    degree: int
-    coefficients: tuple[float, ...]
-
-    def __call__(self, u: np.ndarray) -> float:
-        c = self.coefficients
-        return float(c[0] + np.dot(c[1:], u**self.degree))
-
-
-@dataclass(frozen=True)
 class ExpensiveOptimum:
     """Cost peaks (base * contrast) at the objective's global minimizer."""
 
@@ -197,7 +184,7 @@ class CheapOptimum:
         return self.base * self.contrast ** (dist / d_max)
 
 
-CostSurface = ExpLinear | Polynomial | ExpensiveOptimum | CheapOptimum
+CostSurface = ExpLinear | ExpensiveOptimum | CheapOptimum
 
 
 def probe_positive(surface, dim: int, n: int = 10_000, seed: int = 0) -> None:
@@ -280,38 +267,21 @@ def load_tabular(
 ) -> BlackBox:
     """Replay recorded evaluations from CSV (dimension columns, `y`, `cost`).
 
+    Every cost must be positive and finite; a bad row is a DataError naming
+    the file and row.
+
     Queries return the nearest recorded row within ``tolerance`` (Euclidean,
     unit coordinates); anything farther raises. The black box exposes its
     rows as the candidate pool, so proposals snap to recorded configurations
     and objective values are never interpolated.
     """
-    rows_y: list[float] = []
-    rows_cost: list[float] = []
-    units: list[np.ndarray] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        missing = [n for n in space.names + ["y", "cost"] if n not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                unit = to_unit(space, [float(row[n]) for n in space.names])
-                y = float(row["y"])
-                c = float(row["cost"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{row_num}: malformed row: {exc}") from exc
-            if c <= 0:
-                raise DataError(f"{path}:{row_num}: cost must be positive, got {c}")
-            units.append(unit)
-            rows_y.append(y)
-            rows_cost.append(c)
-    if not units:
-        raise DataError(f"{path}: no data rows")
-    table = np.array(units)
-    y_arr = np.array(rows_y)
-    cost_arr = np.array(rows_cost)
+
+    def build(row: dict) -> tuple[np.ndarray, float, float]:
+        unit = to_unit(space, [float(row[n]) for n in space.names])
+        return unit, float(row["y"]), check_cost(float(row["cost"]))
+
+    rows = read_csv_rows(path, space.names + ["y", "cost"], build)
+    table, y_arr, cost_arr = map(np.array, zip(*rows))
 
     def evaluate(u: np.ndarray) -> tuple[float, float]:
         dists = np.linalg.norm(table - np.asarray(u, dtype=float)[None, :], axis=1)

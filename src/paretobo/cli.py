@@ -49,9 +49,11 @@ from .bench import (
 )
 from .cost import (
     ONLINE_COST_KINDS,
+    CostSample,
     cost_rmse,
     fit_cost_model_unit,
     load_cost_csv,
+    read_csv_rows,
     transfer_fit,
     unit_matrix,
 )
@@ -252,8 +254,7 @@ def _read_manifest(out_dir: Path) -> list[dict]:
     manifest = out_dir / "runs.csv"
     if not manifest.exists():
         raise HarnessError(f"no run manifest at {manifest}")
-    with open(manifest, newline="") as handle:
-        return list(csv.DictReader(handle))
+    return read_csv_rows(manifest, ("method", "problem", "seed", "trace"), dict)
 
 
 def bootstrap_ci(values: np.ndarray) -> tuple[float, float]:
@@ -455,25 +456,29 @@ COST_EVAL_TEST_SIZE = 200  # held-out samples per seed
 
 
 def cost_model_sweep(
-    train_sizes: list[int], seeds: int, samples_loader=None
+    train_sizes: list[int],
+    seeds: int,
+    data: tuple[SearchSpace, list[CostSample]] | None = None,
 ) -> list[dict]:
     """Held-out log-RMSE per (model kind, n_train), averaged over seeds.
 
-    Without a loader, data comes from the synthetic multiplicative-cost
+    Without ``data``, samples come from the synthetic multiplicative-cost
     suite: training points concentrated in a random sub-box, test points
     cube-wide (cost models in an optimization loop predict far from their
-    training data).
+    training data). With ``data`` (a space and its recorded samples), each
+    seed shuffles the samples and holds out the last ones.
     """
     results: dict[tuple[str, int], list[float]] = {}
     skipped: set[tuple[str, int]] = set()
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
-        if samples_loader is None:
+        if data is None:
             eval_space, train_pool, test = cost_suite_split(
                 rng, max(train_sizes), n_test=COST_EVAL_TEST_SIZE
             )
         else:
-            pool, eval_space = samples_loader(rng)
+            eval_space, samples = data
+            pool = [samples[i] for i in rng.permutation(len(samples))]
             n_test = COST_EVAL_TEST_SIZE
             test = pool[-n_test:] if len(pool) > n_test else pool[len(pool) // 2 :]
             train_pool = pool[: len(pool) - len(test)]
@@ -549,20 +554,13 @@ def transfer_loto(seeds: int) -> list[dict]:
 def cmd_cost_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    loader = None
+    data = None
     if args.data:
         if not args.space_file:
             raise ConfigError("--data needs --space-file for the dimension layout")
         space = SearchSpace.load(args.space_file)
-        samples = load_cost_csv(args.data, space)
-
-        def loader(rng):
-            idx = rng.permutation(len(samples))
-            return [samples[i] for i in idx], space
-
-    table = cost_model_sweep(
-        _parse_numbers(args.train_sizes, int), args.seeds, samples_loader=loader
-    )
+        data = (space, load_cost_csv(args.data, space))
+    table = cost_model_sweep(_parse_numbers(args.train_sizes, int), args.seeds, data)
     _write_csv(out_dir / "cost_eval.csv", table)
     transfer_table = transfer_loto(args.seeds)
     _write_csv(out_dir / "transfer_eval.csv", transfer_table)
@@ -792,7 +790,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParetoBOError as err:
+    except (ParetoBOError, OSError) as err:
         record = {"error": type(err).__name__, "message": str(err)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +41,13 @@ _LOG_CLIP = 300.0
 RIDGE_LAMBDA = 1e-8
 
 
+def check_cost(cost: float) -> float:
+    """``cost`` itself if it is positive and finite, else a DataError."""
+    if not (cost > 0 and math.isfinite(cost)):
+        raise DataError(f"cost must be positive and finite, got {cost}")
+    return cost
+
+
 @dataclass(frozen=True)
 class CostSample:
     """One recorded evaluation: native configuration and positive cost."""
@@ -50,8 +57,7 @@ class CostSample:
 
     def __post_init__(self):
         object.__setattr__(self, "config", np.asarray(self.config, dtype=float))
-        if not (self.cost > 0 and math.isfinite(self.cost)):
-            raise DataError(f"cost must be positive and finite, got {self.cost}")
+        check_cost(self.cost)
 
 
 @dataclass(frozen=True)
@@ -364,50 +370,43 @@ def cost_rmse(
 # ---------------------------------------------------------------------------
 
 
+def read_csv_rows(path: str | Path, columns: Sequence[str], build: Callable) -> list:
+    """``build(row)`` of each data row of the CSV at ``path``, in file order.
+
+    ``row`` is the row's dict of strings; every name in ``columns`` must be
+    in the header. An empty file, a missing column or a file without data
+    rows raises a DataError naming the path; a row with fewer cells than the
+    header, or a ``build`` that raises TypeError or ValueError, one naming
+    the path and the row's file line.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty file")
+        missing = [n for n in columns if n not in reader.fieldnames]
+        if missing:
+            raise DataError(f"{path}: missing columns {missing}")
+        built = []
+        for row in reader:
+            try:
+                if None in row.values():
+                    raise ValueError("fewer cells than the header")
+                built.append(build(row))
+            except (TypeError, ValueError) as exc:
+                # line_num counts the blank lines the reader skipped.
+                raise DataError(
+                    f"{path}:{reader.line_num}: malformed row: {exc}"
+                ) from exc
+    if not built:
+        raise DataError(f"{path}: no data rows")
+    return built
+
+
 def load_cost_csv(path: str | Path, space: SearchSpace) -> list[CostSample]:
     """Read cost samples: one column per dimension (native units), then `cost`."""
-    samples = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        missing = [n for n in space.names + ["cost"] if n not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                config = np.array([float(row[n]) for n in space.names])
-                samples.append(CostSample(config=config, cost=float(row["cost"])))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{row_num}: malformed row: {exc}") from exc
-    if not samples:
-        raise DataError(f"{path}: no data rows")
-    return samples
 
+    def build(row: dict) -> CostSample:
+        config = np.array([float(row[n]) for n in space.names])
+        return CostSample(config=config, cost=float(row["cost"]))
 
-def load_transfer_csv(path: str | Path, space: SearchSpace) -> TransferDataset:
-    """Read transfer data: dimension columns, `cost`, then meta-feature columns."""
-    meta_cols = ("n_rows", "n_cols", "n_classes")
-    grouped: dict[MetaFeatures, list[CostSample]] = {}
-    order: list[MetaFeatures] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        missing = [
-            n for n in space.names + ["cost", *meta_cols] if n not in reader.fieldnames
-        ]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                config = np.array([float(row[n]) for n in space.names])
-                sample = CostSample(config=config, cost=float(row["cost"]))
-                meta = MetaFeatures(*(int(row[c]) for c in meta_cols))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{row_num}: malformed row: {exc}") from exc
-            if meta not in grouped:
-                grouped[meta] = []
-                order.append(meta)
-            grouped[meta].append(sample)
-    return TransferDataset(tasks=[(meta, grouped[meta]) for meta in order])
+    return read_csv_rows(path, space.names + ["cost"], build)

@@ -23,7 +23,7 @@ import numpy as np
 from . import acquisition as acq
 from .acquisition import AcquisitionKind, CandidateSet, implied_alpha
 from .bench import BlackBox
-from .cost import CostModel, fit_cost_model_unit
+from .cost import fit_cost_model_unit
 from .diagnostics import PersistenceStat, front_persistence
 from .errors import ConfigError, DataError
 from .space import from_unit, sample_uniform
@@ -287,14 +287,12 @@ def _failure_cost(cost_pred: float | None, observed: list[float]) -> float:
 def run(
     problem: BlackBox,
     cfg: RunConfig,
-    fixed_cost_model: CostModel | None = None,
     track_persistence: bool = False,
 ) -> Trace:
     """Execute one budgeted optimization run and return its trace.
 
-    ``fixed_cost_model`` (e.g. a transfer model fitted offline) disables the
-    per-iteration cost-model refit. ``track_persistence`` re-scores each
-    iteration's previous front under the new models for front diagnostics.
+    ``track_persistence`` re-scores each iteration's previous front under the
+    new models for front diagnostics.
 
     An evaluation that raises, returns a non-finite ``y``, or returns a cost
     that is not positive and finite becomes a failed row with ``y = inf``,
@@ -410,9 +408,7 @@ def run(
 
         model = gp_fit(X, ys, restarts=GP_RESTARTS, rng=rng, warm_start=gp_params)
         gp_params = model.params
-        cost_model = fixed_cost_model
-        if cost_model is None:
-            cost_model = fit_cost_model_unit(cfg.cost_model, space, X, costs, rng)
+        cost_model = fit_cost_model_unit(cfg.cost_model, space, X, costs, rng)
 
         cost_floor = acq.cost_floor_for(costs)
         sel = acq.propose(

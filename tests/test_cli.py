@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from paretobo.acquisition import CEI, EI
+from paretobo.bench import OBJECTIVES
 from paretobo.cli import (
     BLAS_THREAD_VARS,
     _map_tasks,
@@ -305,33 +306,59 @@ class TestCommands:
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv,bad",
+        "argv,bad,error",
         [
-            (["run", "--problem", "nope"], "nope"),
-            (["run", "--acq", "alpha:abc"], "abc"),
-            (["pareto-trace", "--acq", "cei:zz"], "zz"),
-            (["biopt", "--alphas", "0.1,q1"], "q1"),
-            (["biopt", "--lambdas", "0.5,q2"], "q2"),
+            (["run", "--problem", "nope"], "nope", "ConfigError"),
+            (["run", "--acq", "alpha:abc"], "abc", "ConfigError"),
+            (["pareto-trace", "--acq", "cei:zz"], "zz", "ConfigError"),
+            (["biopt", "--alphas", "0.1,q1"], "q1", "ConfigError"),
+            (["biopt", "--lambdas", "0.5,q2"], "q2", "ConfigError"),
             (
                 ["time-alloc", "--suite", "quick", "--seeds", "1", "--iters", "2",
                  "--multiples", "1,q3"],
                 "q3",
+                "ConfigError",
             ),
-            (["rank", "--runs", "missing", "--multiples", "1,q4"], "q4"),
-            (["cost-eval", "--train-sizes", "4,q5"], "q5"),
+            (["rank", "--runs", "missing", "--multiples", "1,q4"], "q4", "ConfigError"),
+            (["cost-eval", "--train-sizes", "4,q5"], "q5", "ConfigError"),
+            (
+                ["run", "--table", "{tmp}/missing.csv", "--space-file", "{tmp}/s.json"],
+                "{tmp}/missing.csv",
+                "FileNotFoundError",
+            ),
+            (
+                ["run", "--table", "{tmp}/t.csv", "--space-file", "{tmp}/missing.json"],
+                "{tmp}/missing.json",
+                "FileNotFoundError",
+            ),
+            (
+                ["cost-eval", "--data", "{tmp}/missing.csv", "--space-file",
+                 "{tmp}/s.json"],
+                "{tmp}/missing.csv",
+                "FileNotFoundError",
+            ),
+            (["rank", "--runs", "{tmp}"], "{tmp}/gone.jsonl", "FileNotFoundError"),
         ],
         ids=[
             "unknown-problem", "acq-alpha", "acq-cei", "alphas", "lambdas",
             "time-alloc-multiples", "rank-multiples", "train-sizes",
+            "missing-table", "missing-space-file", "missing-cost-data",
+            "missing-trace",
         ],
     )
-    def test_error_is_machine_readable(self, tmp_path, capsys, argv, bad):
+    def test_error_is_machine_readable(self, tmp_path, capsys, argv, bad, error):
+        # Inputs that exist: a space file, and a manifest naming a gone trace.
+        OBJECTIVES["branin"].space.save(tmp_path / "s.json")
+        (tmp_path / "runs.csv").write_text(
+            f"method,problem,seed,trace\nei,p,0,{tmp_path}/gone.jsonl\n"
+        )
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         code = main(argv + ["--out", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.strip()
         record = json.loads(err)
-        assert record["error"] == "ConfigError"
-        assert repr(bad) in record["message"]
+        assert record["error"] == error
+        assert repr(bad.format(tmp=tmp_path)) in record["message"]
 
 
 class TestMalformedTraces:
@@ -373,6 +400,28 @@ class TestMalformedTraces:
         record = json.loads(err[0])
         assert record["error"] == "DataError"
         assert record["message"].startswith(f"{trace}:{bad_line}: ")
+
+    @pytest.mark.parametrize(
+        "manifest,expected",
+        [
+            ("", ": empty file"),
+            ("method,problem,trace\nei,p,ei.jsonl\n", ": missing columns ['seed']"),
+            (
+                "method,problem,seed,trace\nei,p,0\n",
+                ":2: malformed row: fewer cells than the header",
+            ),
+        ],
+        ids=["empty", "no-seed-column", "short-row"],
+    )
+    def test_rank_reports_a_malformed_manifest(self, tmp_path, capsys, manifest, expected):
+        (tmp_path / "runs.csv").write_text(manifest)
+        assert main(["rank", "--runs", str(tmp_path), "--multiples", "1"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "DataError"
+        assert record["message"] == f"{tmp_path / 'runs.csv'}{expected}"
+        assert not (tmp_path / "ranks.csv").exists()
 
 
 class TestParallelGrid:

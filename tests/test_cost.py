@@ -21,7 +21,6 @@ from paretobo.cost import (
     cost_rmse,
     fit_cost_model_unit,
     load_cost_csv,
-    load_transfer_csv,
     select_features,
     transfer_fit,
     unit_matrix,
@@ -421,20 +420,9 @@ class TestCSV:
         path.write_text("x0,x1,cost\n1.0,2.0,3.0\n1.0,2.0,nan\n")
         with pytest.raises(DataError, match="bad.csv:3: malformed row"):
             load_cost_csv(path, log_space(2))
-
-    def test_transfer_csv_groups_by_meta(self, tmp_path):
-        path = tmp_path / "transfer.csv"
-        path.write_text(
-            "x0,x1,cost,n_rows,n_cols,n_classes\n"
-            "1.0,2.0,3.0,100,5,2\n"
-            "2.0,3.0,4.0,100,5,2\n"
-            "1.5,2.5,9.0,5000,12,0\n"
-        )
-        data = load_transfer_csv(path, log_space(2))
-        assert len(data.tasks) == 2
-        assert data.tasks[0][0] == MetaFeatures(100, 5, 2)
-        assert len(data.tasks[0][1]) == 2
-        assert data.tasks[1][0].n_classes == 0
+        path.write_text("x0,x1,cost\n1.0,2.0,3.0\n\n1.0,2.0,nan\n")
+        with pytest.raises(DataError, match="bad.csv:4: malformed row"):
+            load_cost_csv(path, log_space(2))
 
 
 class TestKindParity:

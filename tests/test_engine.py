@@ -340,15 +340,15 @@ class TestTraceIO:
         for r in bo[1:]:
             assert 0 <= r.persistence.survived <= r.persistence.total
 
-    def test_persistence_rescores_under_the_proposal_floor(self):
+    def test_persistence_rescores_under_the_proposal_floor(self, monkeypatch):
         class TinyCost:  # predictions between 1e-6 and the proposal's floor
             def predict_unit(self, points, meta=None):
                 return 1e-4 * (1.0 + points[:, 0])
 
+        monkeypatch.setattr(engine_mod, "fit_cost_model_unit", lambda *a: TinyCost())
         trace = run(
             quick_problem(),
             quick_config(budget=Iterations(8)),
-            fixed_cost_model=TinyCost(),
             track_persistence=True,
         )
         checked = 0
