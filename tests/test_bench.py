@@ -80,6 +80,7 @@ class TestCostSurfaces:
         [
             (ExpLinear(coefficients=(1.5, -0.5, 1.0)), 3),
             (ExpensiveOptimum(base=1.0, contrast=20.0, anchor=(0.3, 0.7)), 2),
+            (ExpensiveOptimum(base=0.5, contrast=1000.0, anchor=(1.0, 1.0)), 2),
             (CheapOptimum(base=2.0, contrast=5.0, anchor=(0.5, 0.5)), 2),
         ],
     )
