@@ -106,22 +106,44 @@ class GPModel:
         return self.train_inputs.shape[0]
 
 
-def _matern52(scaled_sq: np.ndarray, signal_variance: float) -> np.ndarray:
-    """Matern-5/2 values from squared lengthscale-scaled distances."""
-    s = SQRT5 * np.sqrt(np.maximum(scaled_sq, 0.0))
-    return signal_variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
+def _matern52(
+    scaled_sq: np.ndarray, signal_variance: float, scratch: np.ndarray
+) -> np.ndarray:
+    """Matern-5/2 values from squared lengthscale-scaled distances.
+
+    Works in place: ``scaled_sq`` is overwritten (it ends holding exp(-s))
+    and ``scratch``, an array of the same shape, is used as a temporary.
+    The operations are those of ``sv * (1 + s + s*s/3) * exp(-s)``, in order.
+    """
+    s = np.maximum(scaled_sq, 0.0, out=scaled_sq)
+    np.sqrt(s, out=s)
+    s *= SQRT5
+    k = s + 1.0
+    np.multiply(s, s, out=scratch)
+    scratch /= 3.0
+    k += scratch
+    k *= signal_variance
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    k *= s
+    return k
 
 
 def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
     # Sum the scaled squared distance one dimension at a time, in dimension
-    # order, instead of building the (m, n, d) difference tensor.
-    scaled_sq = np.zeros((X1.shape[0], X2.shape[0]))
-    for k, lengthscale in enumerate(params.lengthscales):
-        diff = np.subtract.outer(X1[:, k], X2[:, k])
-        diff /= lengthscale
+    # order, instead of building the (m, n, d) difference tensor. The first
+    # dimension starts the sum; the others share one difference buffer.
+    lengthscales = params.lengthscales
+    scaled_sq = np.subtract.outer(X1[:, 0], X2[:, 0])
+    scaled_sq /= lengthscales[0]
+    scaled_sq *= scaled_sq
+    diff = np.empty_like(scaled_sq)
+    for k in range(1, len(lengthscales)):
+        np.subtract.outer(X1[:, k], X2[:, k], out=diff)
+        diff /= lengthscales[k]
         diff *= diff
         scaled_sq += diff
-    return _matern52(scaled_sq, params.signal_variance)
+    return _matern52(scaled_sq, params.signal_variance, diff)
 
 
 def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -193,28 +215,65 @@ def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     )
 
 
+class _MLLWorkspace:
+    """Scratch arrays for the MLL evaluations of one fit on n points in d dims.
+
+    One workspace serves every evaluation of a ``gp_fit`` call; each
+    evaluation overwrites all of it, so no value carries over between them.
+    """
+
+    def __init__(self, n: int, d: int):
+        self.eye = np.eye(n)
+        self.s, self.exp_neg_s, self.one_plus_s, self.kf, self.base = np.empty(
+            (5, n, n)
+        )
+        self.block = np.empty((d, n, n))
+
+
 def _mll_value_and_grad(
-    theta: np.ndarray, X: np.ndarray, y_std: np.ndarray, sq_diffs: np.ndarray
+    theta: np.ndarray,
+    X: np.ndarray,
+    y_std: np.ndarray,
+    sq_diffs: np.ndarray,
+    work: _MLLWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient w.r.t. theta.
 
     ``sq_diffs`` is the precomputed (d, n, n) tensor of per-dimension squared
-    coordinate differences. Gradients use the standard trace identity
+    coordinate differences, and ``work`` the scratch arrays (built here when
+    not given). Gradients use the standard trace identity
     dMLL/dp = 0.5 tr((aa^T - K^{-1}) dK/dp) with a = K^{-1}(y - m).
+    Every step runs in place, in the order of the plain expressions in the
+    comments, so the results are bit for bit those of the expressions.
     """
     n, d = X.shape
+    if work is None:
+        work = _MLLWorkspace(n, d)
     sv = math.exp(theta[0])
     ls = np.exp(theta[1 : 1 + d])
     nv = math.exp(theta[1 + d])
     m = theta[2 + d]
 
+    # s = sqrt(5) * sqrt(max(sum_i sq_diffs_i / ls_i^2, 0))
     inv_ls_sq = 1.0 / (ls * ls)
-    scaled_sq = (inv_ls_sq @ sq_diffs.reshape(d, -1)).reshape(n, n)
-    s = SQRT5 * np.sqrt(np.maximum(scaled_sq, 0.0))
-    exp_term = np.exp(-s)
-    Kf = sv * (1.0 + s + s * s / 3.0) * exp_term
-    K = Kf.copy()
-    K[np.diag_indices(n)] += nv
+    s = work.s
+    np.matmul(inv_ls_sq, sq_diffs.reshape(d, -1), out=s.reshape(-1))
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    s *= SQRT5
+    # Kf = sv * (1 + s + s*s/3) * exp(-s)
+    exp_neg_s = np.negative(s, out=work.exp_neg_s)
+    np.exp(exp_neg_s, out=exp_neg_s)
+    one_plus_s = np.add(s, 1.0, out=work.one_plus_s)
+    Kf = np.multiply(s, s, out=work.kf)
+    Kf /= 3.0
+    Kf += one_plus_s
+    Kf *= sv
+    Kf *= exp_neg_s
+    # K = Kf + nv I, held in base's buffer until the factorization copies it.
+    K = work.base
+    np.copyto(K, Kf)
+    K.reshape(-1)[:: n + 1] += nv
 
     chol, _ = _factorize(K)
     resid = y_std - m
@@ -222,16 +281,20 @@ def _mll_value_and_grad(
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     mll = -0.5 * float(resid @ a) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
-    K_inv = _solve(chol, np.eye(n))
-    A = np.outer(a, a) - K_inv
+    # A = outer(a, a) - K^-1, in the solve's own output array.
+    A = _solve(chol, work.eye)
+    np.subtract(np.multiply.outer(a, a, out=work.base), A, out=A)
 
     grad = np.empty_like(theta)
-    grad[0] = 0.5 * np.sum(A * Kf)
-    # dK/dlog(ls_i) = sv * (5/3) (1 + s) exp(-s) * sq_diffs_i / ls_i^2
-    base = sv * (5.0 / 3.0) * (1.0 + s) * exp_term
-    for i in range(d):
-        dK = base * (sq_diffs[i] * inv_ls_sq[i])
-        grad[1 + i] = 0.5 * np.sum(A * dK)
+    grad[0] = 0.5 * np.sum(np.multiply(A, Kf, out=work.base))
+    # dK/dlog(ls_i) = sv * (5/3) (1 + s) exp(-s) * sq_diffs_i / ls_i^2, and
+    # grad_i = 0.5 * sum(A * dK_i), for every i at once.
+    base = np.multiply(one_plus_s, sv * (5.0 / 3.0), out=work.base)
+    base *= exp_neg_s
+    P = np.multiply(sq_diffs, inv_ls_sq[:, None, None], out=work.block)
+    P *= base
+    P *= A
+    grad[1 : 1 + d] = 0.5 * P.reshape(d, -1).sum(axis=1)
     grad[1 + d] = 0.5 * nv * np.trace(A)
     grad[2 + d] = float(np.sum(a))
     return mll, grad
@@ -283,6 +346,7 @@ def gp_fit(
 
     y_std, t_mean, t_std, degenerate = _standardize(y)
     sq_diffs = (X.T[:, :, None] - X.T[:, None, :]) ** 2  # (d, n, n)
+    work = _MLLWorkspace(n, d)
 
     # Every value computed, keyed by the point's bytes, so that start and end
     # points are not evaluated again. (``result.fun`` is not always the value
@@ -291,7 +355,7 @@ def gp_fit(
 
     def neg_mll(theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            mll, grad = _mll_value_and_grad(theta, X, y_std, sq_diffs)
+            mll, grad = _mll_value_and_grad(theta, X, y_std, sq_diffs, work)
         except ModelError:
             mll = math.nan
         if not np.isfinite(mll):

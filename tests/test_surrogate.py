@@ -14,9 +14,9 @@ from paretobo.surrogate import (
     LOG_SIGNAL_BOUNDS,
     MEAN_BOUNDS,
     KernelParams,
+    _MLLWorkspace,
     _cross_kernel,
     _default_start,
-    _matern52,
     _mll_value_and_grad,
     _random_start,
     _standardize,
@@ -357,10 +357,15 @@ class TestLapackPathMatchesReference:
 
 
 def reference_cross_kernel(X1, X2, params):
-    """The (m, n, d) difference-tensor form of the cross-kernel."""
+    """The (m, n, d) difference-tensor form of the cross-kernel.
+
+    Carries its own copy of the Matern-5/2 formula, with fresh arrays at every
+    step, so the library's in-place evaluation is checked against it.
+    """
     diff = X1[:, None, :] - X2[None, :, :]
     scaled_sq = np.sum((diff / params.lengthscales) ** 2, axis=-1)
-    return _matern52(scaled_sq, params.signal_variance)
+    s = math.sqrt(5.0) * np.sqrt(np.maximum(scaled_sq, 0.0))
+    return params.signal_variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
 
 
 class TestCrossKernel:
@@ -376,3 +381,60 @@ class TestCrossKernel:
             got = _cross_kernel(X1, X2, params)
             assert got.shape == (m, n)
             assert np.array_equal(got, reference_cross_kernel(X1, X2, params))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_bitwise_equal_at_front_scale(self, d):
+        rng = np.random.default_rng(200 + d)
+        params = KernelParams(
+            float(rng.uniform(0.1, 3.0)), rng.uniform(0.01, 2.0, size=d), 1e-3
+        )
+        X1 = rng.uniform(size=(8192, d))
+        X2 = rng.uniform(size=(50, d))
+        got = _cross_kernel(X1, X2, params)
+        assert got.shape == (8192, 50)
+        assert np.array_equal(got, reference_cross_kernel(X1, X2, params))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_inputs_left_unchanged(self, d):
+        rng = np.random.default_rng(300 + d)
+        X = rng.uniform(size=(12, d))
+        y = rng.normal(size=12)
+        params = KernelParams(1.2, rng.uniform(0.1, 1.0, size=d), 1e-3, 0.1)
+        model = build_model(X, y, params)
+        probes = rng.uniform(size=(40, d))
+        saved = [a.copy() for a in (X, probes, params.lengthscales)]
+        _cross_kernel(probes, X, params)
+        gp_posterior_many(model, probes)
+        for before, after in zip(saved, (X, probes, params.lengthscales)):
+            assert after.tobytes() == before.tobytes()
+        assert model.train_inputs.tobytes() == X.tobytes()
+
+
+class TestWorkspace:
+    """One ``gp_fit``'s MLL scratch arrays must not carry state to another."""
+
+    def test_repeated_fits_are_identical(self):
+        rng = np.random.default_rng(31)
+        X = rng.uniform(size=(25, 7))
+        y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.05 * rng.normal(size=25)
+        fits = [gp_fit(X, y, restarts=3, rng=np.random.default_rng(8)) for _ in range(2)]
+        first, second = fits
+        assert first.params.to_theta().tobytes() == second.params.to_theta().tobytes()
+        assert repr(first.fit_info) == repr(second.fit_info)
+        assert [v.hex() for v in first.fit_info["init_mlls"]] == [
+            v.hex() for v in second.fit_info["init_mlls"]
+        ]
+
+    def test_shared_workspace_matches_a_fresh_one(self):
+        rng = np.random.default_rng(33)
+        n, d = 20, 4
+        X = rng.uniform(size=(n, d))
+        y_std = _standardize(rng.normal(size=n))[0]
+        sq = _sq_diffs(X)
+        work = _MLLWorkspace(n, d)
+        for _ in range(5):
+            theta = _random_start(d, rng)
+            mll, grad = _mll_value_and_grad(theta, X, y_std, sq, work)
+            ref_mll, ref_grad = _mll_value_and_grad(theta, X, y_std, sq)
+            assert mll.hex() == ref_mll.hex()
+            assert grad.tobytes() == ref_grad.tobytes()
