@@ -268,7 +268,8 @@ def load_tabular(
     """Replay recorded evaluations from CSV (dimension columns, `y`, `cost`).
 
     Every cost must be positive and finite; a bad row is a DataError naming
-    the file and row.
+    the file and row. ``f_opt`` is the least finite ``y``, or None if no row
+    has one.
 
     Queries return the nearest recorded row within ``tolerance`` (Euclidean,
     unit coordinates); anything farther raises. The black box exposes its
@@ -282,6 +283,7 @@ def load_tabular(
 
     rows = read_csv_rows(path, space.names + ["y", "cost"], build)
     table, y_arr, cost_arr = map(np.array, zip(*rows))
+    finite_y = y_arr[np.isfinite(y_arr)]
 
     def evaluate(u: np.ndarray) -> tuple[float, float]:
         dists = np.linalg.norm(table - np.asarray(u, dtype=float)[None, :], axis=1)
@@ -298,7 +300,7 @@ def load_tabular(
         evaluate=evaluate,
         name=f"tabular:{Path(path).name}",
         params={"rows": len(y_arr), "tolerance": tolerance},
-        f_opt=float(np.min(y_arr)),
+        f_opt=float(np.min(finite_y)) if finite_y.size else None,
         candidate_pool=table,
     )
 

@@ -1,5 +1,7 @@
 """Benchmark black-box tests: objectives, cost surfaces, tabular replay."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -189,6 +191,17 @@ class TestTabular:
         path = tmp_path / "t.csv"
         self.write_table(path, space, rows)
         assert load_tabular(path, space).f_opt == -2.0
+
+    def test_optimum_skips_nan_rows(self, tmp_path):
+        space = OBJECTIVES["branin"].space
+        points = [from_unit(space, np.array(u)) for u in ([0.1, 0.2], [0.3, 0.4])]
+        path = tmp_path / "t.csv"
+        self.write_table(path, space, [(points[0], 2.0, 1.0), (points[1], math.nan, 1.0)])
+        problem = load_tabular(path, space)
+        assert problem.f_opt == 2.0
+        assert problem.descriptor["f_opt"] == 2.0
+        self.write_table(path, space, [(points[0], math.nan, 1.0)])
+        assert load_tabular(path, space).f_opt is None
 
     def test_empty_and_malformed_files(self, tmp_path):
         space = OBJECTIVES["branin"].space
