@@ -23,6 +23,7 @@ log-normal - which avoids variance blow-ups when GPs extrapolate.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -375,28 +376,31 @@ def read_csv_rows(path: str | Path, columns: Sequence[str], build: Callable) -> 
 
     ``row`` is the row's dict of strings; every name in ``columns`` must be
     in the header. An empty file, a missing column or a file without data
-    rows raises a DataError naming the path; a row with fewer cells than the
-    header, or a ``build`` that raises TypeError or ValueError, one naming
-    the path and the row's file line.
+    rows raises a DataError naming the path; a file that is not UTF-8 text, a
+    row with fewer cells than the header, or a ``build`` that raises
+    TypeError or ValueError, one naming the path and the file line.
     """
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        missing = [n for n in columns if n not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing}")
-        built = []
-        for row in reader:
-            try:
-                if None in row.values():
-                    raise ValueError("fewer cells than the header")
-                built.append(build(row))
-            except (TypeError, ValueError) as exc:
-                # line_num counts the blank lines the reader skipped.
-                raise DataError(
-                    f"{path}:{reader.line_num}: malformed row: {exc}"
-                ) from exc
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: empty file")
+    missing = [n for n in columns if n not in reader.fieldnames]
+    if missing:
+        raise DataError(f"{path}: missing columns {missing}")
+    built = []
+    for row in reader:
+        try:
+            if None in row.values():
+                raise ValueError("fewer cells than the header")
+            built.append(build(row))
+        except (TypeError, ValueError) as exc:
+            # line_num counts the blank lines the reader skipped.
+            raise DataError(f"{path}:{reader.line_num}: malformed row: {exc}") from exc
     if not built:
         raise DataError(f"{path}: no data rows")
     return built

@@ -211,18 +211,20 @@ def read_trace(path: str | Path) -> Trace:
     """Reload a trace written by :meth:`Trace.write`.
 
     Records come back through :meth:`IterationRecord.from_dict`. A line that
-    is not JSON, or a row that does not match the record, raises a
-    ``DataError`` naming the path and line.
+    is not UTF-8 or not JSON, or a row that does not match the record, raises
+    a ``DataError`` naming the path and line.
     """
     records: list[IterationRecord] = []
     problem: dict = {}
     run_config: dict = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
             try:
+                # Decoded here rather than by the file object, so that a
+                # line that is not UTF-8 is named like any other bad line.
+                line = raw.decode().strip()
+                if not line:
+                    continue
                 payload = json.loads(line)
                 if not isinstance(payload, dict):
                     raise DataError("trace line is not a JSON object")

@@ -423,6 +423,31 @@ class TestMalformedTraces:
         assert record["message"] == f"{tmp_path / 'runs.csv'}{expected}"
         assert not (tmp_path / "ranks.csv").exists()
 
+    @pytest.mark.parametrize("target", ["table", "manifest", "trace"])
+    def test_input_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys, target):
+        """Bytes ``\\xff\\xfe`` on line 2 of each file the CLI reads as text."""
+        if target == "table":
+            space = OBJECTIVES["branin"].space
+            space.save(tmp_path / "s.json")
+            path = tmp_path / "t.csv"
+            header = ",".join(space.names + ["y", "cost"]).encode()
+            path.write_bytes(header + b"\n\xff\xfe,1.0,2.0,1.0\n")
+            argv = ["run", "--table", str(path), "--space-file", str(tmp_path / "s.json"),
+                    "--out", str(tmp_path / "x")]
+        else:
+            trace = self.grid(tmp_path)
+            path = tmp_path / "runs.csv" if target == "manifest" else trace
+            lines = path.read_bytes().split(b"\n")
+            lines[1] = b"\xff\xfe" + lines[1]
+            path.write_bytes(b"\n".join(lines))
+            argv = ["rank", "--runs", str(tmp_path), "--multiples", "1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "DataError"
+        assert record["message"].startswith(f"{path}:2: ")
+
 
 class TestParallelGrid:
     def test_two_jobs_write_what_one_job_writes(self, tmp_path):

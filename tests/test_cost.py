@@ -424,6 +424,15 @@ class TestCSV:
         with pytest.raises(DataError, match="bad.csv:4: malformed row"):
             load_cost_csv(path, log_space(2))
 
+    @pytest.mark.parametrize("bad_line", [2, 3000])
+    def test_cost_csv_not_utf8(self, tmp_path, bad_line):
+        path = tmp_path / "bin.csv"
+        rows = [b"x0,x1,cost"] + [b"1.0,2.0,3.0"] * 3000
+        rows[bad_line - 1] = b"1.0,\xff\xfe,3.0"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(DataError, match=f"bin.csv:{bad_line}: not UTF-8 text"):
+            load_cost_csv(path, log_space(2))
+
 
 class TestKindParity:
     """Every online kind, fallback included, keeps predicting the same bytes.
