@@ -196,7 +196,8 @@ class TestTabular:
         space = OBJECTIVES["branin"].space
         points = [from_unit(space, np.array(u)) for u in ([0.1, 0.2], [0.3, 0.4])]
         path = tmp_path / "t.csv"
-        self.write_table(path, space, [(points[0], 2.0, 1.0), (points[1], math.nan, 1.0)])
+        rows = [(points[0], 2.0, 1.0), (points[1], math.nan, 1.0)]
+        self.write_table(path, space, rows)
         problem = load_tabular(path, space)
         assert problem.f_opt == 2.0
         assert problem.descriptor["f_opt"] == 2.0

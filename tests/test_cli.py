@@ -432,8 +432,8 @@ class TestMalformedTraces:
             path = tmp_path / "t.csv"
             header = ",".join(space.names + ["y", "cost"]).encode()
             path.write_bytes(header + b"\n\xff\xfe,1.0,2.0,1.0\n")
-            argv = ["run", "--table", str(path), "--space-file", str(tmp_path / "s.json"),
-                    "--out", str(tmp_path / "x")]
+            argv = ["run", "--table", str(path), "--space-file",
+                    str(tmp_path / "s.json"), "--out", str(tmp_path / "x")]
         else:
             trace = self.grid(tmp_path)
             path = tmp_path / "runs.csv" if target == "manifest" else trace

@@ -372,7 +372,10 @@ class TestCrossKernel:
     @pytest.mark.parametrize("d", range(1, 8))
     def test_bitwise_equal_to_reference(self, d):
         rng = np.random.default_rng(100 + d)
-        for m, n in ((1, 1), (3, 17), (257, 40)):
+        sizes = [(1, 1), (3, 17), (257, 40)]
+        if d in (2, 3):
+            sizes.append((8192, 50))  # front8k's candidate count
+        for m, n in sizes:
             params = KernelParams(
                 float(rng.uniform(0.1, 3.0)), rng.uniform(0.01, 2.0, size=d), 1e-3
             )
@@ -381,18 +384,6 @@ class TestCrossKernel:
             got = _cross_kernel(X1, X2, params)
             assert got.shape == (m, n)
             assert np.array_equal(got, reference_cross_kernel(X1, X2, params))
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_bitwise_equal_at_front_scale(self, d):
-        rng = np.random.default_rng(200 + d)
-        params = KernelParams(
-            float(rng.uniform(0.1, 3.0)), rng.uniform(0.01, 2.0, size=d), 1e-3
-        )
-        X1 = rng.uniform(size=(8192, d))
-        X2 = rng.uniform(size=(50, d))
-        got = _cross_kernel(X1, X2, params)
-        assert got.shape == (8192, 50)
-        assert np.array_equal(got, reference_cross_kernel(X1, X2, params))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_inputs_left_unchanged(self, d):
@@ -417,15 +408,13 @@ class TestWorkspace:
         rng = np.random.default_rng(31)
         X = rng.uniform(size=(25, 7))
         y = np.sin(4 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.05 * rng.normal(size=25)
-        fits = [gp_fit(X, y, restarts=3, rng=np.random.default_rng(8)) for _ in range(2)]
-        first, second = fits
+        first, second = (
+            gp_fit(X, y, restarts=3, rng=np.random.default_rng(8)) for _ in range(2)
+        )
         assert first.params.to_theta().tobytes() == second.params.to_theta().tobytes()
         assert repr(first.fit_info) == repr(second.fit_info)
-        assert [v.hex() for v in first.fit_info["init_mlls"]] == [
-            v.hex() for v in second.fit_info["init_mlls"]
-        ]
 
-    def test_shared_workspace_matches_a_fresh_one(self):
+    def test_reused_workspace_matches_the_reference(self):
         rng = np.random.default_rng(33)
         n, d = 20, 4
         X = rng.uniform(size=(n, d))
@@ -435,6 +424,6 @@ class TestWorkspace:
         for _ in range(5):
             theta = _random_start(d, rng)
             mll, grad = _mll_value_and_grad(theta, X, y_std, sq, work)
-            ref_mll, ref_grad = _mll_value_and_grad(theta, X, y_std, sq)
+            ref_mll, ref_grad, _ = reference_mll_value_and_grad(theta, X, y_std, sq)
             assert mll.hex() == ref_mll.hex()
             assert grad.tobytes() == ref_grad.tobytes()
