@@ -461,3 +461,35 @@ class TestKindParity:
                 digest.update(label.encode())
                 digest.update(model.predict_log_unit(probes).tobytes())
         assert digest.hexdigest() == self.SHA
+
+
+class TestTransferParity:
+    """Both transfer kinds keep fitting and predicting the same bytes.
+
+    The digest is the SHA-256 of each ``transfer_fit`` model's kind, selected
+    features, ``coef`` and ``predict_log_unit(probes, meta)`` output, for
+    ``task_aware`` and ``naive`` on fixed ``synthetic_transfer_tasks`` data
+    with 1 task (the task-aware fit falls back to ridge) and with 5 tasks.
+    ``meta`` is the first task's meta-features. A lossless change to the
+    fitting code keeps it; a change meant to alter the transfer models
+    updates it here and says why in CHANGES.md.
+    """
+
+    SHA = "2e66256cc7e46b89987f1a429ee483fbe352f7d36f7242d46433b77da6d573e3"
+
+    def test_predictions_digest(self):
+        space = cost_bench_space(7)
+        coefs = np.array([2.0, 0.0, -1.5, 0.0, 1.0, 0.0, 0.0])
+        digest = hashlib.sha256()
+        for n_tasks in (1, 5):
+            rng = np.random.default_rng(500 + n_tasks)
+            data = synthetic_transfer_tasks(space, n_tasks, 30, rng, coefs)
+            probes = rng.uniform(size=(50, len(space)))
+            meta = data.tasks[0][0]
+            for kind in ("task_aware", "naive"):
+                model = transfer_fit(space, data, kind)
+                label = f"{n_tasks} {model.kind} {model.selected_features}"
+                digest.update(label.encode())
+                digest.update(model.coef.tobytes())
+                digest.update(model.predict_log_unit(probes, meta).tobytes())
+        assert digest.hexdigest() == self.SHA
