@@ -490,10 +490,9 @@ def cost_model_sweep(
             U = unit_matrix(eval_space, train)
             costs = np.array([s.cost for s in train])
             for kind in COST_EVAL_KINDS:
-                model = fit_cost_model_unit(
-                    kind, eval_space, U, costs, np.random.default_rng(seed)
-                )
-                results.setdefault((kind, n_train), []).append(cost_rmse(model, test))
+                model = fit_cost_model_unit(kind, U, costs, np.random.default_rng(seed))
+                rmse = cost_rmse(model, eval_space, test)
+                results.setdefault((kind, n_train), []).append(rmse)
     for kind, n_train in sorted(skipped):
         print(
             f"warning: n_train={n_train} exceeds the dataset size; skipped",
@@ -534,7 +533,7 @@ def transfer_loto(seeds: int) -> list[dict]:
             for kind in ("task_aware", "naive"):
                 model = transfer_fit(space, train_data, kind)
                 rmses[f"transfer_{kind}"].append(
-                    cost_rmse(model, test_samples, meta=meta)
+                    cost_rmse(model, space, test_samples, meta=meta)
                 )
     out = []
     for kind, values in sorted(rmses.items()):

@@ -14,7 +14,8 @@ Families:
 - ``limited_gp3``  GP restricted to the 3 most significant features,
 - ``transfer_*``   LV models pooled across tasks, optionally with log
                    dataset meta-features as extra regressors,
-- ``constant``     geometric mean of observed costs (low-data fallback).
+- ``constant``     geometric mean of observed costs (low-data fallback): the
+                   linear model with no features.
 
 Predictions are exp(log-space prediction) - the median of the implied
 log-normal - which avoids variance blow-ups when GPs extrapolate.
@@ -94,43 +95,22 @@ class TransferDataset:
 class CostModel:
     """Base interface: strictly positive finite cost predictions."""
 
-    def predict_log_unit(
-        self, points: np.ndarray, meta: MetaFeatures | None = None
-    ) -> np.ndarray:
+    def predict_log_unit(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def predict_unit(
-        self, points: np.ndarray, meta: MetaFeatures | None = None
-    ) -> np.ndarray:
+    def predict_unit(self, points: np.ndarray) -> np.ndarray:
         """Predicted costs at unit-cube points of shape (m, d)."""
-        logp = self.predict_log_unit(np.atleast_2d(np.asarray(points, float)), meta)
+        logp = self.predict_log_unit(np.atleast_2d(np.asarray(points, float)))
         return np.exp(np.clip(logp, -_LOG_CLIP, _LOG_CLIP))
-
-    def predict(self, config: np.ndarray, meta: MetaFeatures | None = None) -> float:
-        """Predicted cost for one native configuration."""
-        point = to_unit(self._space, config)
-        return float(self.predict_unit(point[None, :], meta)[0])
-
-
-@dataclass
-class ConstantCost(CostModel):
-    """Geometric mean of the observed costs; the low-data fallback."""
-
-    log_cost: float
-    _space: SearchSpace = None
-    kind: str = "constant"
-    selected_features: tuple[int, ...] = ()
-    ridge_fallback: bool = False
-
-    def predict_log_unit(self, points, meta=None):
-        return np.full(points.shape[0], self.log_cost)
 
 
 @dataclass
 class LinearCost(CostModel):
-    """OLS of log cost on centered selected features (ridge on rank loss)."""
+    """OLS of log cost on centered selected features (ridge on rank loss).
 
-    _space: SearchSpace
+    With no features it is the constant model: ``intercept`` everywhere.
+    """
+
     kind: str
     selected_features: tuple[int, ...]
     coef: np.ndarray
@@ -139,7 +119,7 @@ class LinearCost(CostModel):
     ridge_fallback: bool = False
     n_meta: int = 0  # trailing regressors taken from meta-features
 
-    def predict_log_unit(self, points, meta=None):
+    def predict_log_unit(self, points, meta: MetaFeatures | None = None):
         cols = points[:, list(self.selected_features)]
         if self.n_meta:
             if meta is None:
@@ -155,19 +135,20 @@ class LinearCost(CostModel):
 class GPCost(CostModel):
     """GP on (a subset of) features vs. log cost; optional linear base."""
 
-    _space: SearchSpace
     kind: str
     gp: GPModel | None
     selected_features: tuple[int, ...]
     base: LinearCost | None = None
-    residual_gp_active: bool = True
-    ridge_fallback: bool = False
 
-    def predict_log_unit(self, points, meta=None):
+    @property
+    def ridge_fallback(self) -> bool:
+        return self.base is not None and self.base.ridge_fallback
+
+    def predict_log_unit(self, points):
         logp = np.zeros(points.shape[0])
         if self.base is not None:
-            logp = self.base.predict_log_unit(points, meta)
-        if self.gp is not None and self.residual_gp_active:
+            logp = self.base.predict_log_unit(points)
+        if self.gp is not None:
             sub = (
                 points[:, list(self.selected_features)]
                 if self.selected_features
@@ -219,11 +200,11 @@ def select_features(U: np.ndarray, logc: np.ndarray, k: int) -> list[int]:
     return order[:k_eff]
 
 
-def _fit_constant(space, U, logc, rng=None) -> ConstantCost:
-    return ConstantCost(log_cost=float(np.mean(logc)), _space=space)
+def _fit_constant(U, logc, rng=None) -> LinearCost:
+    return LinearCost("constant", (), np.zeros(0), float(np.mean(logc)), np.zeros(0))
 
 
-def _fit_lv(space, U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
+def _fit_lv(U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
     """OLS of log cost on the k selected features and any ``meta_cols``.
 
     Columns are centered; a rank-deficient design is solved by ridge
@@ -243,7 +224,6 @@ def _fit_lv(space, U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
     else:
         coef, *_ = np.linalg.lstsq(Xc, yc, rcond=None)
     return LinearCost(
-        _space=space,
         kind=f"lv{len(features)}",
         selected_features=tuple(features),
         coef=coef,
@@ -254,36 +234,33 @@ def _fit_lv(space, U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
     )
 
 
-def _fit_warped_gp(space, U, logc, rng=None) -> GPCost:
+def _fit_warped_gp(U, logc, rng=None) -> GPCost:
     gp = gp_fit(U, logc, restarts=GP_RESTARTS, rng=rng)
-    return GPCost(_space=space, kind="warped_gp", gp=gp, selected_features=())
+    return GPCost(kind="warped_gp", gp=gp, selected_features=())
 
 
-def _fit_limited_gp(space, U, logc, rng=None) -> GPCost:
+def _fit_limited_gp(U, logc, rng=None) -> GPCost:
     features = select_features(U, logc, 3)
     gp = gp_fit(U[:, features], logc, restarts=GP_RESTARTS, rng=rng)
-    return GPCost(
-        _space=space, kind="limited_gp3", gp=gp, selected_features=tuple(features)
-    )
+    return GPCost(kind="limited_gp3", gp=gp, selected_features=tuple(features))
 
 
-def _fit_gplv(space, U, logc, rng=None, *, k) -> GPCost:
-    base = _fit_lv(space, U, logc, k=k)
+def _fit_gplv(U, logc, rng=None, *, k) -> GPCost:
+    base = _fit_lv(U, logc, k=k)
     resid = logc - base.predict_log_unit(U)
     gp = gp_fit(U, resid, restarts=GP_RESTARTS, rng=rng)
     kind = f"gplv{len(base.selected_features)}"
-    model = GPCost(_space=space, kind=kind, gp=gp, selected_features=(), base=base)
-    model.ridge_fallback = base.ridge_fallback
+    model = GPCost(kind=kind, gp=gp, selected_features=(), base=base)
     # Keep the residual GP only when it does not worsen the in-sample fit,
     # so GPLV's training error never exceeds the base model's.
     gp_rmse = float(np.sqrt(np.mean((logc - model.predict_log_unit(U)) ** 2)))
     base_rmse = float(np.sqrt(np.mean(resid**2)))
     if gp_rmse > base_rmse:
-        model.residual_gp_active = False
+        model.gp = None
     return model
 
 
-# Each online kind's minimum sample count and its fit (space, U, logc, rng).
+# Each online kind's minimum sample count and its fit (U, logc, rng).
 _ONLINE_KINDS = {
     "constant": (1, _fit_constant),
     "lv1": (3, partial(_fit_lv, k=1)),
@@ -300,7 +277,6 @@ ONLINE_COST_KINDS = tuple(_ONLINE_KINDS)
 
 def fit_cost_model_unit(
     kind: str,
-    space: SearchSpace,
     unit_points: np.ndarray,
     costs: np.ndarray,
     rng: np.random.Generator | None = None,
@@ -324,7 +300,7 @@ def fit_cost_model_unit(
     min_samples, fit = _ONLINE_KINDS[kind]
     if len(costs) < min_samples:
         fit = _fit_constant
-    return fit(space, U, np.log(costs), rng)
+    return fit(U, np.log(costs), rng)
 
 
 def transfer_fit(
@@ -348,20 +324,25 @@ def transfer_fit(
         )
     U = unit_matrix(space, samples)
     logc = np.log([s.cost for s in samples])
-    model = _fit_lv(space, U, logc, k=3, meta_cols=meta_cols)
+    model = _fit_lv(U, logc, k=3, meta_cols=meta_cols)
     model.kind = f"transfer_{kind}"
     return model
 
 
 def cost_rmse(
     model: CostModel,
+    space: SearchSpace,
     test: Sequence[CostSample],
     meta: MetaFeatures | None = None,
 ) -> float:
-    """Root-mean-squared error in log-cost space on held-out samples."""
+    """Root-mean-squared error in log-cost space on held-out samples.
+
+    ``meta`` is the test task's meta-features, for a transfer model.
+    """
     if not test:
         raise DataError("need at least one test sample")
-    pred_log = model.predict_log_unit(unit_matrix(model._space, test), meta)
+    U = unit_matrix(space, test)
+    pred_log = model.predict_log_unit(U, meta) if meta else model.predict_log_unit(U)
     true_log = np.log([s.cost for s in test])
     return float(np.sqrt(np.mean((pred_log - true_log) ** 2)))
 

@@ -410,7 +410,7 @@ def run(
 
         model = gp_fit(X, ys, restarts=GP_RESTARTS, rng=rng, warm_start=gp_params)
         gp_params = model.params
-        cost_model = fit_cost_model_unit(cfg.cost_model, space, X, costs, rng)
+        cost_model = fit_cost_model_unit(cfg.cost_model, X, costs, rng)
 
         cost_floor = acq.cost_floor_for(costs)
         sel = acq.propose(

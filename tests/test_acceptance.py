@@ -254,10 +254,10 @@ def test_criterion_08_cost_model_suite():
         CostSample(from_unit(space, u), float(np.exp(0.7 + 2.0 * u[1] - 1.0 * u[3])))
         for u in U
     ]
+    exact_costs = [s.cost for s in samples]
     exact_rmse = cost_rmse(
-        fit_cost_model_unit(
-            "lv3", space, unit_matrix(space, samples), [s.cost for s in samples]
-        ),
+        fit_cost_model_unit("lv3", unit_matrix(space, samples), exact_costs),
+        space,
         samples,
     )
 
@@ -266,11 +266,9 @@ def test_criterion_08_cost_model_suite():
     nest = [
         cost_rmse(
             fit_cost_model_unit(
-                f"lv{k}",
-                suite_space,
-                unit_matrix(suite_space, noisy),
-                [s.cost for s in noisy],
+                f"lv{k}", unit_matrix(suite_space, noisy), [s.cost for s in noisy]
             ),
+            suite_space,
             noisy,
         )
         for k in (1, 2, 3)
@@ -285,8 +283,9 @@ def test_criterion_08_cost_model_suite():
         lv_scores.append(
             cost_rmse(
                 fit_cost_model_unit(
-                    "lv3", sp, unit_matrix(sp, train), [s.cost for s in train]
+                    "lv3", unit_matrix(sp, train), [s.cost for s in train]
                 ),
+                sp,
                 test,
             )
         )
@@ -294,11 +293,11 @@ def test_criterion_08_cost_model_suite():
             cost_rmse(
                 fit_cost_model_unit(
                     "warped_gp",
-                    sp,
                     unit_matrix(sp, train),
                     [s.cost for s in train],
                     np.random.default_rng(seed),
                 ),
+                sp,
                 test,
             )
         )

@@ -496,7 +496,7 @@ class TestPropose:
         model = build_model(X, y, KernelParams(1.0, np.array([0.3, 0.3]), 1e-4))
 
         class FakeCost:
-            def predict_unit(self, pts, meta=None):
+            def predict_unit(self, pts):
                 return 0.5 + 2.0 * pts[:, 0]
 
         return rng, X, y, model, FakeCost()
@@ -521,7 +521,7 @@ class TestPropose:
         rng, X, y, model, _ = self.toy_setup(0)
 
         class TinyCost:
-            def predict_unit(self, pts, meta=None):
+            def predict_unit(self, pts):
                 return np.full(pts.shape[0], 1e-12)
 
         floor = cost_floor_for(np.array([2.0, 3.0]))

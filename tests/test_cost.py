@@ -14,9 +14,9 @@ from paretobo.bench import (
 )
 from paretobo.cost import (
     ONLINE_COST_KINDS,
-    ConstantCost,
     CostSample,
     MetaFeatures,
+    LinearCost,
     TransferDataset,
     cost_rmse,
     fit_cost_model_unit,
@@ -50,7 +50,7 @@ def make_samples(space, rng, n, log_cost_fn, noise_sd=0.0):
 def fit(kind, space, samples, rng=None):
     """Fit an online cost-model kind on samples through the unit-array API."""
     costs = np.array([s.cost for s in samples])
-    return fit_cost_model_unit(kind, space, unit_matrix(space, samples), costs, rng)
+    return fit_cost_model_unit(kind, unit_matrix(space, samples), costs, rng)
 
 
 def select(space, samples, k):
@@ -109,7 +109,7 @@ class TestLVFit:
         samples = make_samples(space, rng, 40, lambda lx, u: 1.0 + 2.0 * lx[1])
         model = fit("lv1", space, samples)
         assert model.selected_features == (1,)
-        assert cost_rmse(model, samples) <= 1e-8
+        assert cost_rmse(model, space, samples) <= 1e-8
 
     def test_constant_cost_intercept_only(self):
         space = log_space()
@@ -162,7 +162,7 @@ class TestLVFit:
         ]
         model = fit("lv2", space, samples)
         assert model.ridge_fallback
-        assert cost_rmse(model, samples) <= 1e-6
+        assert cost_rmse(model, space, samples) <= 1e-6
         gplv = fit("gplv2", space, samples, np.random.default_rng(0))
         assert gplv.base.ridge_fallback
         assert gplv.ridge_fallback
@@ -177,7 +177,8 @@ class TestGPFamilies:
         )
         model = fit("warped_gp", space, samples, np.random.default_rng(0))
         for s in samples[:5]:
-            assert model.predict(s.config) == pytest.approx(s.cost, rel=1e-3)
+            pred = model.predict_unit(to_unit(space, s.config))[0]
+            assert pred == pytest.approx(s.cost, rel=1e-3)
 
     def test_gplv_collapses_to_lv_on_log_linear_data(self):
         space = log_space()
@@ -204,7 +205,8 @@ class TestGPFamilies:
             )
             gplv = fit("gplv3", space, samples, np.random.default_rng(seed))
             lv = fit("lv3", space, samples)
-            assert cost_rmse(gplv, samples) <= cost_rmse(lv, samples) + 1e-8
+            lv_rmse = cost_rmse(lv, space, samples)
+            assert cost_rmse(gplv, space, samples) <= lv_rmse + 1e-8
 
     def test_gplv_beats_warped_gp_on_interaction_data(self):
         gplv_scores, warped_scores = [], []
@@ -213,8 +215,8 @@ class TestGPFamilies:
             space, train, test = cost_suite_split(gen, 50)
             gplv = fit("gplv3", space, train, np.random.default_rng(seed))
             warped = fit("warped_gp", space, train, np.random.default_rng(seed))
-            gplv_scores.append(cost_rmse(gplv, test))
-            warped_scores.append(cost_rmse(warped, test))
+            gplv_scores.append(cost_rmse(gplv, space, test))
+            warped_scores.append(cost_rmse(warped, space, test))
         assert np.mean(gplv_scores) <= np.mean(warped_scores)
 
     def test_limited_gp_uses_three_features(self):
@@ -241,8 +243,8 @@ class TestTransfer:
         assert aware.ridge_fallback  # constant meta columns centered to zero
         probes = rng.uniform(size=(25, 4))
         np.testing.assert_allclose(
-            aware.predict_unit(probes, meta=MetaFeatures(1000, 20, 3)),
-            naive.predict_unit(probes),
+            np.exp(aware.predict_log_unit(probes, MetaFeatures(1000, 20, 3))),
+            np.exp(naive.predict_log_unit(probes)),
             rtol=1e-8,
         )
 
@@ -262,10 +264,10 @@ class TestTransfer:
         rows_coef = aware.coef[len(aware.selected_features)]
         assert rows_coef == pytest.approx(1.0, abs=1e-6)
         for meta, samples in tasks:
-            assert cost_rmse(aware, samples, meta=meta) <= 1e-6
+            assert cost_rmse(aware, space, samples, meta=meta) <= 1e-6
 
         naive = transfer_fit(space, data, "naive")
-        naive_rmse = np.mean([cost_rmse(naive, s) for _, s in tasks])
+        naive_rmse = np.mean([cost_rmse(naive, space, s) for _, s in tasks])
         assert naive_rmse > 0.1  # cross-task bias it cannot express
 
     def test_leave_one_task_out_ordering(self):
@@ -280,12 +282,10 @@ class TestTransfer:
                     tasks=[t for i, t in enumerate(data.tasks) if i != held]
                 )
                 meta, test_samples = data.tasks[held]
-                aware_rmse.append(
-                    cost_rmse(transfer_fit(space, train, "task_aware"), test_samples, meta=meta)
-                )
-                naive_rmse.append(
-                    cost_rmse(transfer_fit(space, train, "naive"), test_samples)
-                )
+                aware = transfer_fit(space, train, "task_aware")
+                aware_rmse.append(cost_rmse(aware, space, test_samples, meta=meta))
+                naive = transfer_fit(space, train, "naive")
+                naive_rmse.append(cost_rmse(naive, space, test_samples))
         assert np.mean(aware_rmse) <= np.mean(naive_rmse)
 
     def test_task_aware_requires_meta_at_predict(self):
@@ -309,17 +309,17 @@ class TestCostRMSE:
         rng = np.random.default_rng(15)
         samples = make_samples(space, rng, 20, lambda lx, u: 1.0 + u[0])
         model = fit("lv1", space, samples)
-        assert cost_rmse(model, samples) == pytest.approx(0.0, abs=1e-9)
+        assert cost_rmse(model, space, samples) == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_predictor_unit_error(self):
         space = log_space(2)
         m = 1.3
-        model = ConstantCost(log_cost=m, _space=space)
+        model = LinearCost("constant", (), np.zeros(0), m, np.zeros(0))
         test = [
             CostSample(from_unit(space, np.array([0.3, 0.4])), math.exp(m + 1)),
             CostSample(from_unit(space, np.array([0.6, 0.7])), math.exp(m - 1)),
         ]
-        assert cost_rmse(model, test) == pytest.approx(1.0)
+        assert cost_rmse(model, space, test) == pytest.approx(1.0)
 
     def test_matches_direct_recomputation(self):
         space = log_space(3)
@@ -329,10 +329,14 @@ class TestCostRMSE:
         test = samples[15:]
         expected = math.sqrt(
             np.mean(
-                [(math.log(model.predict(s.config)) - math.log(s.cost)) ** 2 for s in test]
+                [
+                    (math.log(model.predict_unit(to_unit(space, s.config))[0])
+                     - math.log(s.cost)) ** 2
+                    for s in test
+                ]
             )
         )
-        assert cost_rmse(model, test) == pytest.approx(expected, abs=1e-10)
+        assert cost_rmse(model, space, test) == pytest.approx(expected, abs=1e-10)
 
 
 class TestInvariants:
@@ -346,7 +350,7 @@ class TestInvariants:
         costs = np.array([s.cost for s in samples])
         probes = rng.uniform(size=(200, 5))
         for kind in ("constant", "lv1", "lv3", "warped_gp", "gplv3", "limited_gp3"):
-            model = fit_cost_model_unit(kind, space, U, costs, np.random.default_rng(0))
+            model = fit_cost_model_unit(kind, U, costs, np.random.default_rng(0))
             pred = model.predict_unit(probes)
             assert np.all(pred > 0)
             assert np.all(np.isfinite(pred))
@@ -357,7 +361,9 @@ class TestInvariants:
         samples = synthetic_cost_samples(
             space, 40, rng, np.array([2.0, -1.0, 0.5, 0.2, 0.0, 0.0]), noise_sd=0.2
         )
-        rmses = [cost_rmse(fit(f"lv{k}", space, samples), samples) for k in (1, 2, 3)]
+        rmses = [
+            cost_rmse(fit(f"lv{k}", space, samples), space, samples) for k in (1, 2, 3)
+        ]
         assert rmses[0] >= rmses[1] - 1e-12
         assert rmses[1] >= rmses[2] - 1e-12
 
@@ -391,8 +397,8 @@ class TestInvariants:
         space = cost_bench_space(4)
         U = np.array([[0.2, 0.3, 0.4, 0.5], [0.6, 0.7, 0.8, 0.9]])
         costs = np.array([2.0, 8.0])
-        model = fit_cost_model_unit("lv3", space, U, costs, np.random.default_rng(0))
-        assert isinstance(model, ConstantCost)
+        model = fit_cost_model_unit("lv3", U, costs, np.random.default_rng(0))
+        assert isinstance(model, LinearCost) and model.kind == "constant"
         assert model.predict_unit(U)[0] == pytest.approx(4.0)  # geometric mean
 
 
@@ -454,9 +460,7 @@ class TestKindParity:
             costs = np.array([s.cost for s in train])
             probes = unit_matrix(space, test[:50])
             for kind in ONLINE_COST_KINDS:
-                model = fit_cost_model_unit(
-                    kind, space, U, costs, np.random.default_rng(n)
-                )
+                model = fit_cost_model_unit(kind, U, costs, np.random.default_rng(n))
                 label = f"{n} {kind} {model.kind} {model.selected_features}"
                 digest.update(label.encode())
                 digest.update(model.predict_log_unit(probes).tobytes())

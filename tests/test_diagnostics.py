@@ -10,7 +10,7 @@ from paretobo.acquisition import (
     pareto_front,
     score_candidates,
 )
-from paretobo.cost import ConstantCost
+from paretobo.cost import LinearCost
 from paretobo.diagnostics import ei_decomposition, front_persistence
 from paretobo.surrogate import KernelParams, build_model, gp_posterior
 
@@ -21,6 +21,11 @@ def scored(points, model, cost_model, f_min):
     return score_candidates(
         points, model, cost_model.predict_unit(points), f_min, cost_floor=1e-6
     )
+
+
+def constant_cost(log_cost):
+    """The featureless linear cost model: ``exp(log_cost)`` everywhere."""
+    return LinearCost("constant", (), np.zeros(0), log_cost, np.zeros(0))
 
 
 def toy_model(seed, n=6):
@@ -80,7 +85,7 @@ class TestPersistence:
 
     def test_unchanged_models_full_survival(self):
         model = toy_model(2)
-        cost_model = ConstantCost(log_cost=0.5, _space=None)
+        cost_model = constant_cost(0.5)
         rng = np.random.default_rng(3)
         points = rng.uniform(size=(12, 2))
         f_min = 0.0
@@ -90,7 +95,7 @@ class TestPersistence:
 
     def test_constructed_dethroning(self):
         model = toy_model(4)
-        cost_model = ConstantCost(log_cost=0.0, _space=None)
+        cost_model = constant_cost(0.0)
         old_point = model.train_inputs[0]
         old_front = CandidateSet(old_point[None, :], np.array([0.9]), np.array([1.0]))
         post = gp_posterior(model, old_point)
@@ -108,7 +113,7 @@ class TestPersistence:
         for seed in range(10):
             m_t = toy_model(seed, n=5)
             m_t1 = toy_model(seed + 50, n=5)
-            cost_model = ConstantCost(log_cost=0.2, _space=None)
+            cost_model = constant_cost(0.2)
             points = rng.uniform(size=(15, 2))
             prev_front = self.front_of(m_t, cost_model, points, 0.5)
             current = scored(rng.uniform(size=(15, 2)), m_t1, cost_model, 0.2)

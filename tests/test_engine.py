@@ -342,7 +342,7 @@ class TestTraceIO:
 
     def test_persistence_rescores_under_the_proposal_floor(self, monkeypatch):
         class TinyCost:  # predictions between 1e-6 and the proposal's floor
-            def predict_unit(self, points, meta=None):
+            def predict_unit(self, points):
                 return 1e-4 * (1.0 + points[:, 0])
 
         monkeypatch.setattr(engine_mod, "fit_cost_model_unit", lambda *a: TinyCost())
