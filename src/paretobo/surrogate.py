@@ -187,8 +187,8 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
     return np.round((y - mean) / std, 12), mean, std, False
 
 
-def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
-    """Assemble a GPModel with given hyperparameters (no fitting)."""
+def _training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """``X`` (n, d) and ``y`` (n,) as float arrays, else a DataError."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or y.shape[0] < 1:
@@ -197,6 +197,12 @@ def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
         raise DataError("non-finite training targets")
     if not np.all(np.isfinite(X)):
         raise DataError("non-finite training inputs")
+    return X, y
+
+
+def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
+    """Assemble a GPModel with given hyperparameters (no fitting)."""
+    X, y = _training_data(X, y)
     y_std, t_mean, t_std, degenerate = _standardize(y)
     K = _cross_kernel(X, X, params)
     K[np.diag_indices_from(K)] += params.noise_variance
@@ -328,18 +334,12 @@ def gp_fit(
 ) -> GPModel:
     """Fit GP hyperparameters by multi-start L-BFGS-B on the MLL.
 
-    The returned model's MLL is at least the MLL of every start's initial
-    parameters. ``warm_start`` (e.g. the previous iteration's params in a
+    ``X`` is (n, d), or (n,) for one dimension. The returned model's MLL is
+    at least the MLL of every start's initial parameters. ``warm_start`` (e.g. the previous iteration's params in a
     sequential loop) replaces the default first start.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != y.shape[0] or y.shape[0] < 1:
-        raise DataError(f"bad training shapes X={X.shape} y={y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise DataError("non-finite training targets")
+    X, y = _training_data(X[:, None] if X.ndim == 1 else X, y)
     if rng is None:
         rng = np.random.default_rng(0)
     n, d = X.shape

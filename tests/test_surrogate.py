@@ -103,6 +103,23 @@ class TestFit:
         with pytest.raises(DataError):
             gp_fit(np.zeros((3, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_inputs_like_build_model(self, bad):
+        X = np.array([[0.1, 0.2], [0.5, bad], [0.9, 0.4]])
+        y = np.array([1.0, 2.0, 0.5])
+        with pytest.raises(DataError, match="non-finite training inputs"):
+            gp_fit(X, y, restarts=1)
+        with pytest.raises(DataError, match="non-finite training inputs"):
+            build_model(X, y, KernelParams(1.0, np.array([0.3, 0.3]), 1e-3))
+
+    def test_accepts_one_dimensional_inputs(self):
+        X = np.array([0.1, 0.4, 0.8])
+        y = np.array([1.0, -0.5, 2.0])
+        one_d = gp_fit(X, y, restarts=2, rng=np.random.default_rng(3))
+        two_d = gp_fit(X[:, None], y, restarts=2, rng=np.random.default_rng(3))
+        assert one_d.train_inputs.shape == (3, 1)
+        assert one_d.params.to_theta().tobytes() == two_d.params.to_theta().tobytes()
+
 
 class TestPosterior:
     def test_interpolates_training_points_at_low_noise(self):
