@@ -18,7 +18,8 @@ import numpy as np
 
 from .acquisition import CandidateSet, ei, front_indices, score_candidates
 from .cost import CostModel
-from .surrogate import GPModel, gp_posterior_many
+# gp_posterior_many stays a module attribute: perfbench/tracing.py wraps it here.
+from .surrogate import GPModel, gp_posterior, gp_posterior_many  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,8 @@ class PersistenceStat:
 
 
 def _ei_at(model: GPModel, x: np.ndarray, f_min: float) -> float:
-    means, variances = gp_posterior_many(model, np.asarray(x, float)[None, :])
-    return float(ei(float(means[0]), float(np.sqrt(variances[0])), f_min))
+    post = gp_posterior(model, x)
+    return ei(post.mean, np.sqrt(post.variance), f_min)
 
 
 def ei_decomposition(
