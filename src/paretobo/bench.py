@@ -9,7 +9,7 @@ datasets. Every black-box evaluates unit-cube points and returns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -147,41 +147,36 @@ class ExpLinear:
 
 
 @dataclass(frozen=True)
-class ExpensiveOptimum:
+class _AnchoredCost:
+    """Cost set by the distance to ``anchor`` over its largest value in the cube."""
+
+    base: float = 1.0
+    contrast: float = 20.0
+    anchor: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.contrast <= 1:
+            raise ConfigError(f"contrast must exceed 1, got {self.contrast}")
+
+    def _fraction(self, u: np.ndarray) -> float:
+        anchor = np.asarray(self.anchor)
+        d_max = float(np.linalg.norm(np.maximum(anchor, 1.0 - anchor)))
+        dist = float(np.linalg.norm(u - anchor))
+        return dist / d_max
+
+
+class ExpensiveOptimum(_AnchoredCost):
     """Cost peaks (base * contrast) at the objective's global minimizer."""
 
-    base: float = 1.0
-    contrast: float = 20.0
-    anchor: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.contrast <= 1:
-            raise ConfigError(f"contrast must exceed 1, got {self.contrast}")
-
     def __call__(self, u: np.ndarray) -> float:
-        anchor = np.asarray(self.anchor)
-        d_max = float(np.linalg.norm(np.maximum(anchor, 1.0 - anchor)))
-        dist = float(np.linalg.norm(u - anchor))
-        return self.base * self.contrast ** (1.0 - dist / d_max)
+        return self.base * self.contrast ** (1.0 - self._fraction(u))
 
 
-@dataclass(frozen=True)
-class CheapOptimum:
+class CheapOptimum(_AnchoredCost):
     """Cost bottoms out (base) at the objective's global minimizer."""
 
-    base: float = 1.0
-    contrast: float = 20.0
-    anchor: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.contrast <= 1:
-            raise ConfigError(f"contrast must exceed 1, got {self.contrast}")
-
     def __call__(self, u: np.ndarray) -> float:
-        anchor = np.asarray(self.anchor)
-        d_max = float(np.linalg.norm(np.maximum(anchor, 1.0 - anchor)))
-        dist = float(np.linalg.norm(u - anchor))
-        return self.base * self.contrast ** (dist / d_max)
+        return self.base * self.contrast ** self._fraction(u)
 
 
 CostSurface = ExpLinear | ExpensiveOptimum | CheapOptimum
@@ -238,10 +233,8 @@ def make_synthetic(
     d = len(obj.space)
     if cost is None:
         cost = ExpLinear(coefficients=(3.0 / d,) * d)
-    if isinstance(cost, (ExpensiveOptimum, CheapOptimum)) and not cost.anchor:
-        cost = type(cost)(
-            base=cost.base, contrast=cost.contrast, anchor=tuple(obj.minimizer_unit)
-        )
+    if isinstance(cost, _AnchoredCost) and not cost.anchor:
+        cost = replace(cost, anchor=tuple(obj.minimizer_unit))
     probe_positive(cost, d, n=2048, seed=seed)
     rng = np.random.default_rng(seed)
 

@@ -96,6 +96,18 @@ class TestCostSurfaces:
     def test_contrast_must_exceed_one(self):
         with pytest.raises(ConfigError):
             ExpensiveOptimum(base=1.0, contrast=0.5)
+        with pytest.raises(ConfigError):
+            CheapOptimum(base=1.0, contrast=1.0)
+
+    @pytest.mark.parametrize(
+        "surface,name",
+        [(CheapOptimum, "CheapOptimum"), (ExpensiveOptimum, "ExpensiveOptimum")],
+    )
+    def test_descriptor_names_the_anchored_surface(self, surface, name):
+        # The trace's meta line carries this string.
+        anchor = "anchor=(np.float64(0.5427728435726529), np.float64(0.15166666666666667))"
+        expected = f"{name}(base=1.0, contrast=20.0, {anchor})"
+        assert make_synthetic("branin", surface()).descriptor["cost"] == expected
 
 
 class TestSyntheticBlackBox:
