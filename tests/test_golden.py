@@ -10,10 +10,11 @@ import hashlib
 
 import numpy as np
 
-from paretobo.acquisition import CEI, EIpu
-from paretobo.bench import cost_bench_space, load_tabular
+from paretobo.acquisition import CEI, EIAlpha, EICool, EIpu
+from paretobo.bench import BlackBox, cost_bench_space, load_tabular
 from paretobo.cli import build_problem, main
-from paretobo.engine import Iterations, RunConfig, run
+from paretobo.engine import Iterations, RunConfig, SimulatedCost, run
+from paretobo.errors import OutOfTableError
 from paretobo.space import from_unit, xgboost_space
 
 # Criterion 12's configuration: branin/expensive, CEI(0.5), 15 evaluations.
@@ -27,6 +28,16 @@ EIPU_HARTMANN3_SHA = (
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
     "42f2f4fcf01ffb9474efa355b99dcbb53f9259cba3ef0c21215f07ed0275f322"
+)
+# hartmann3/explinear, EI-cool resolved from an 80.0 cost budget: 14 evaluations,
+# the last one over budget.
+EICOOL_COST_BUDGET_SHA = (
+    "5ccad8464005f7cfd8cdaf3e2ddc6b870123c084806a28ffadad101beed6e3ff"
+)
+# hartmann3/cheap, EIAlpha(0.3), a 60.0 cost budget and a black box that fails
+# in every way the loop handles (see `_failing`): 16 evaluations, 11 failed.
+FAILING_BLACK_BOX_SHA = (
+    "5681487366ec0ef373cada02772757493f7b04f003dc188e54249e2d5ee85575"
 )
 # `paretobo pareto-trace`: the trace and its four CSVs, in PARETO_TRACE_FILES order.
 PARETO_TRACE_FILES = (
@@ -77,6 +88,32 @@ def _cost_table(path, space, rows=60):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _failing(problem):
+    """``problem`` with failures by call number: calls 1-6 and every 7th
+    raise, every 5th returns a NaN ``y`` and every 6th a cost of -1."""
+    calls = {"n": 0}
+
+    def evaluate(u):
+        calls["n"] += 1
+        n = calls["n"]
+        if n <= 6 or n % 7 == 0:
+            raise OutOfTableError(f"scripted failure on call {n}")
+        y, cost = problem.evaluate(u)
+        if n % 5 == 0:
+            return float("nan"), cost
+        if n % 6 == 0:
+            return y, -1.0
+        return y, cost
+
+    return BlackBox(
+        space=problem.space,
+        evaluate=evaluate,
+        name="failing",
+        params={"wraps": problem.name},
+        f_opt=problem.f_opt,
+    )
+
+
 def _file_digest(directory, names, extra: str = "") -> str:
     digest = hashlib.sha256()
     for name in names:
@@ -117,6 +154,36 @@ def test_replay7d_gplv3_digest(tmp_path):
     )
     trace = run(problem, cfg)
     assert _digest(trace, tmp_path) == REPLAY7D_SHA
+
+
+def test_ei_cool_cost_budget_digest(tmp_path):
+    cfg = RunConfig(
+        seed=4,
+        acquisition=EICool(),
+        budget=SimulatedCost(80.0),
+        candidate_count=128,
+    )
+    trace = run(build_problem("hartmann3/explinear", 0.0, seed=4), cfg)
+    assert len(trace) == 14
+    assert trace.records[-1].over_budget
+    assert not any(r.over_budget for r in trace.records[:-1])
+    assert _digest(trace, tmp_path) == EICOOL_COST_BUDGET_SHA
+
+
+def test_failing_black_box_digest(tmp_path):
+    cfg = RunConfig(
+        seed=8,
+        acquisition=EIAlpha(0.3),
+        budget=SimulatedCost(60.0),
+        candidate_count=128,
+    )
+    trace = run(_failing(build_problem("hartmann3/cheap", 0.0, seed=8)), cfg)
+    assert len(trace) == 16
+    assert sum(r.failed for r in trace.records) == 11
+    # Calls 6 and 7 are fallback draws (no valid row yet); call 8 is the first valid.
+    first_valid = next(r for r in trace.records if not r.failed)
+    assert first_valid.iteration == 8 and first_valid.max_ei is None
+    assert _digest(trace, tmp_path) == FAILING_BLACK_BOX_SHA
 
 
 def test_pareto_trace_outputs_digest(tmp_path):
