@@ -40,6 +40,9 @@ class Iterations:
         if self.n < 1:
             raise ConfigError(f"iteration budget must be >= 1, got {self.n}")
 
+    def exhausted(self, trace: Trace) -> bool:
+        return len(trace) >= self.n
+
 
 @dataclass(frozen=True)
 class SimulatedCost:
@@ -50,6 +53,9 @@ class SimulatedCost:
     def __post_init__(self):
         if not self.tau > 0:
             raise ConfigError(f"cost budget must be positive, got {self.tau}")
+
+    def exhausted(self, trace: Trace) -> bool:
+        return trace.total_cost >= self.tau
 
 
 Budget = Iterations | SimulatedCost
@@ -304,24 +310,12 @@ def run(
     """
     rng = np.random.default_rng(cfg.seed)
     space = problem.space
-    dim = len(space)
-    init_size = cfg.init_design_size or max(5, dim)
-
     budget = cfg.budget
-    max_records = budget.n if isinstance(budget, Iterations) else None
-    tau = budget.tau if isinstance(budget, SimulatedCost) else None
-
-    records: list[IterationRecord] = []
-    cumulative = 0.0
-    incumbent = math.inf
+    trace = Trace(records=[], problem=problem.descriptor, run_config=cfg.to_dict())
 
     def record_eval(
-        point: np.ndarray,
-        phase: str,
-        sel: acq.SelectionResult | None = None,
-        resolved_kind: AcquisitionKind | None = None,
+        point: np.ndarray, phase: str, sel: acq.SelectionResult | None = None
     ) -> IterationRecord:
-        nonlocal cumulative, incumbent
         try:
             y, cost = problem.evaluate(point)
         except Exception:
@@ -335,22 +329,21 @@ def run(
         if not cost_valid:
             cost = _failure_cost(
                 sel.chosen.cost_pred if sel is not None else None,
-                [r.cost for r in records if not r.failed],
+                [r.cost for r in trace.records if not r.failed],
             )
-        cumulative += cost
-        if not failed and y < incumbent:
-            incumbent = y
         record = IterationRecord(
-            iteration=len(records) + 1,
+            iteration=len(trace) + 1,
             phase=phase,
             point=point,
             config=from_unit(space, point),
             y=y,
             cost=cost,
-            cumulative_cost=cumulative,
-            incumbent=incumbent,
+            cumulative_cost=trace.total_cost + cost,
+            incumbent=min(trace.final_incumbent, y),
             failed=failed,
-            over_budget=tau is not None and cumulative > tau,
+        )
+        record.over_budget = (
+            isinstance(budget, SimulatedCost) and record.cumulative_cost > budget.tau
         )
         if sel is not None:
             record.max_ei = float(sel.candidates.ei.max())
@@ -359,12 +352,11 @@ def run(
             record.cei_threshold = sel.threshold
             record.degenerate = sel.degenerate
             record.front = sel.front
-            if isinstance(resolved_kind, acq.CEI):
-                record.implied_alpha = implied_alpha(sel)
-        records.append(record)
+        trace.records.append(record)
         return record
 
     # Initial design.
+    init_size = cfg.init_design_size or max(5, len(space))
     init_points = sample_uniform(space, rng, init_size)
     if problem.candidate_pool is not None:
         # Tabular replay: the init design snaps to recorded rows.
@@ -372,27 +364,20 @@ def run(
         idx = rng.choice(pool.shape[0], size=min(init_size, pool.shape[0]), replace=False)
         init_points = pool[np.sort(idx)]
     for point in init_points:
-        if max_records is not None and len(records) >= max_records:
-            break
-        if tau is not None and cumulative >= tau:
+        if budget.exhausted(trace):
             break
         record_eval(point, "init")
 
     resolved_kind = cfg.acquisition
     if isinstance(resolved_kind, acq.EICool):
-        resolved_kind = _resolve_ei_cool(resolved_kind, budget, cumulative)
+        resolved_kind = _resolve_ei_cool(resolved_kind, budget, trace.total_cost)
 
     gp_params = None
     prev_front: CandidateSet | None = None
 
     # Sequential loop.
-    while True:
-        if max_records is not None and len(records) >= max_records:
-            break
-        if tau is not None and cumulative >= tau:
-            break
-
-        valid = [r for r in records if not r.failed]
+    while not budget.exhausted(trace):
+        valid = [r for r in trace.records if not r.failed]
         if not valid:
             # No usable data yet (e.g. failing init design): a random row of
             # the table in replay, else a uniform sample.
@@ -422,27 +407,20 @@ def run(
             cost_floor=cost_floor,
             candidate_count=cfg.candidate_count,
             rng=rng,
-            spent=cumulative,
+            spent=trace.total_cost,
             candidate_pool=problem.candidate_pool,
         )
-        record = record_eval(sel.chosen.point, "bo", sel, resolved_kind)
+        record = record_eval(sel.chosen.point, "bo", sel)
+        if isinstance(resolved_kind, acq.CEI):
+            record.implied_alpha = implied_alpha(sel)
 
         if track_persistence and prev_front is not None:
             record.persistence = front_persistence(
-                prev_front,
-                model,
-                cost_model,
-                float(np.min(ys)),
-                sel.front,
-                cost_floor,
+                prev_front, model, cost_model, float(np.min(ys)), sel.front, cost_floor
             )
         prev_front = sel.front
 
-    return Trace(
-        records=records,
-        problem=problem.descriptor,
-        run_config=cfg.to_dict(),
-    )
+    return trace
 
 
 def summary_row(trace: Trace) -> dict:
