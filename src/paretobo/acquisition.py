@@ -440,10 +440,10 @@ def parse_kind(text: str) -> AcquisitionKind:
         values = [float(v) for v in parts]
     except ValueError as err:
         raise ConfigError(f"acquisition {text!r}: {err}") from None
-    if name == "ei":
-        return EI()
-    if name == "eipu":
-        return EIpu()
+    if name in ("ei", "eipu"):
+        if values:
+            raise ConfigError(f"{name} takes no parameters, got {text!r}")
+        return EI() if name == "ei" else EIpu()
     if name in ("alpha", "ei-alpha", "ei_alpha"):
         if len(values) != 1:
             raise ConfigError(f"expected alpha:<value>, got {text!r}")
@@ -453,6 +453,8 @@ def parse_kind(text: str) -> AcquisitionKind:
             raise ConfigError(f"expected cei:<lambda>, got {text!r}")
         return CEI(lam=values[0])
     if name in ("ei-cool", "ei_cool", "cool"):
+        if len(values) > 2:
+            raise ConfigError(f"expected ei-cool[:TOTAL[:INIT]], got {text!r}")
         total = values[0] if len(values) > 0 else None
         init = values[1] if len(values) > 1 else None
         return EICool(total_budget=total, init_budget=init)

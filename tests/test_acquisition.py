@@ -573,7 +573,13 @@ class TestKindCodecs:
     def test_parse(self, text, expected):
         assert parse_kind(text) == expected
 
-    @pytest.mark.parametrize("text", ["entropy", "alpha:abc", "cei:x", "ei-cool:x"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "entropy", "alpha:abc", "cei:x", "ei-cool:x",
+            "ei:0.5", "eipu:2", "ei-cool:100:10:5",
+        ],
+    )
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ConfigError):
             parse_kind(text)

@@ -310,6 +310,7 @@ class TestCommands:
         [
             (["run", "--problem", "nope"], "nope", "ConfigError"),
             (["run", "--acq", "alpha:abc"], "abc", "ConfigError"),
+            (["run", "--acq", "ei:0.5"], "ei:0.5", "ConfigError"),
             (["pareto-trace", "--acq", "cei:zz"], "zz", "ConfigError"),
             (["biopt", "--alphas", "0.1,q1"], "q1", "ConfigError"),
             (["biopt", "--lambdas", "0.5,q2"], "q2", "ConfigError"),
@@ -340,7 +341,7 @@ class TestCommands:
             (["rank", "--runs", "{tmp}"], "{tmp}/gone.jsonl", "FileNotFoundError"),
         ],
         ids=[
-            "unknown-problem", "acq-alpha", "acq-cei", "alphas", "lambdas",
+            "unknown-problem", "acq-alpha", "acq-ei-extra", "acq-cei", "alphas", "lambdas",
             "time-alloc-multiples", "rank-multiples", "train-sizes",
             "missing-table", "missing-space-file", "missing-cost-data",
             "missing-trace",
