@@ -229,6 +229,8 @@ def make_synthetic(
         raise ConfigError(
             f"unknown objective {objective!r}; choose from {sorted(OBJECTIVES)}"
         )
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ConfigError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     obj = OBJECTIVES[objective]
     d = len(obj.space)
     if cost is None:

@@ -124,6 +124,11 @@ class TestSyntheticBlackBox:
         assert y1 != y2
         assert c1 == c2
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, math.nan, math.inf])
+    def test_invalid_noise_rejected(self, noise_sd):
+        with pytest.raises(ConfigError, match="noise_sd"):
+            make_synthetic("branin", noise_sd=noise_sd)
+
     def test_descriptor_carries_problem_identity(self):
         problem = make_synthetic("hartmann3", None, 0.0, 9)
         desc = problem.descriptor
