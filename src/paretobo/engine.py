@@ -23,7 +23,7 @@ import numpy as np
 from . import acquisition as acq
 from .acquisition import AcquisitionKind, CandidateSet, implied_alpha
 from .bench import BlackBox
-from .cost import fit_cost_model_unit
+from .cost import ONLINE_COST_KINDS, fit_cost_model_unit
 from .diagnostics import PersistenceStat, front_persistence
 from .errors import ConfigError, DataError
 from .space import from_unit, sample_uniform
@@ -72,6 +72,16 @@ class RunConfig:
     budget: Budget = Iterations(50)
     init_design_size: int | None = None  # default: max(5, dimension count)
     candidate_count: int = acq.DEFAULT_CANDIDATE_COUNT
+
+    def __post_init__(self):
+        if self.cost_model not in ONLINE_COST_KINDS:
+            raise ConfigError(
+                f"cost_model {self.cost_model!r} is not one of {ONLINE_COST_KINDS}"
+            )
+        for name in ("candidate_count", "init_design_size"):  # None: the default
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
 
     def to_dict(self) -> dict:
         row = asdict(self)

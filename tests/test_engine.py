@@ -58,6 +58,29 @@ def quick_config(**overrides):
     return RunConfig(**defaults)
 
 
+class TestRunConfigChecks:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cost_model", "bogus"),
+            ("candidate_count", 0),
+            ("init_design_size", 0),
+            ("init_design_size", -2),
+        ],
+    )
+    def test_bad_value_raises_before_any_evaluation(self, field, value):
+        calls = []
+
+        def evaluate(u):
+            calls.append(u)
+            return 1.0, 1.0
+
+        problem = BlackBox(space=quick_problem().space, evaluate=evaluate, name="spy")
+        with pytest.raises(ConfigError, match=field):
+            run(problem, quick_config(**{field: value}))
+        assert calls == []
+
+
 class TestBudgets:
     def test_iteration_budget_equal_to_init_design(self):
         trace = run(
