@@ -4,9 +4,14 @@ Each digest is the SHA-256 of a short trace written by ``Trace.write``. A
 change that is meant to be lossless (a refactor or a speed-up) keeps every
 digest; a change that alters trace bytes on purpose updates the digest here
 and says why in CHANGES.md.
+
+Each trace also has a choice digest over only the columns that record what
+the run evaluated and what it found (``CHOICE_COLUMNS``). A change that moves
+only derived fields, such as EI values in their last bits, keeps it.
 """
 
 import hashlib
+import json
 
 import numpy as np
 
@@ -17,27 +22,56 @@ from paretobo.engine import Iterations, RunConfig, SimulatedCost, run
 from paretobo.errors import OutOfTableError
 from paretobo.space import from_unit, xgboost_space
 
+# The record columns that a choice digest covers, in this order.
+CHOICE_COLUMNS = (
+    "iteration",
+    "phase",
+    "point",
+    "config",
+    "y",
+    "cost",
+    "cumulative_cost",
+    "incumbent",
+    "failed",
+    "over_budget",
+)
+
 # Criterion 12's configuration: branin/expensive, CEI(0.5), 15 evaluations.
 CEI_BRANIN_SHA = (
     "09be6a68b5e1a879a6ead16cf00215d5df430217ff50ade6877ad05bbbe2b268"
+)
+CEI_BRANIN_CHOICE_SHA = (
+    "0ef2e6b1a2eaea9a3eca3c43d000dcaba1ea7e4f50cbb89147b26c2d07c968f8"
 )
 # hartmann3/expensive, EIpu, 12 evaluations, 2048 candidates, persistence on.
 EIPU_HARTMANN3_SHA = (
     "1793cc781d67448dd22fdac56f0a3bab06f2993ee6d368ef8175e0603864f545"
 )
+EIPU_HARTMANN3_CHOICE_SHA = (
+    "1af25900c37782cb0c3890f6b24d9e5ca84fdd557bf23d5149106982a0cd119a"
+)
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
     "42f2f4fcf01ffb9474efa355b99dcbb53f9259cba3ef0c21215f07ed0275f322"
+)
+REPLAY7D_CHOICE_SHA = (
+    "62574a7cf21d404c1094bb0db028299bac04cb7fd3c8cc90906bce79c1abc4c5"
 )
 # hartmann3/explinear, EI-cool resolved from an 80.0 cost budget: 14 evaluations,
 # the last one over budget.
 EICOOL_COST_BUDGET_SHA = (
     "5ccad8464005f7cfd8cdaf3e2ddc6b870123c084806a28ffadad101beed6e3ff"
 )
+EICOOL_COST_BUDGET_CHOICE_SHA = (
+    "1d8724433cce736e1e768a1154d34a4b68115281d6af54cb6b50e860b8dd4fb1"
+)
 # hartmann3/cheap, EIAlpha(0.3), a 60.0 cost budget and a black box that fails
 # in every way the loop handles (see `_failing`): 16 evaluations, 11 failed.
 FAILING_BLACK_BOX_SHA = (
     "5681487366ec0ef373cada02772757493f7b04f003dc188e54249e2d5ee85575"
+)
+FAILING_BLACK_BOX_CHOICE_SHA = (
+    "de85ff464ee697dd5c854256643afdbdca42a03c6f7ed68f8f6a660731fef291"
 )
 # `paretobo pareto-trace`: the trace and its four CSVs, in PARETO_TRACE_FILES order.
 PARETO_TRACE_FILES = (
@@ -50,6 +84,9 @@ PARETO_TRACE_FILES = (
 PARETO_TRACE_SHA = (
     "8b48a08dc3a8ddf2c80d51e4087cad4bb7c099f7345d063caea5f5100b3608ee"
 )
+PARETO_TRACE_CHOICE_SHA = (
+    "464f03bc49f3da04a91529566d1c0675616f9cff7c0f784f15d4e29fe4c8577f"
+)
 # `paretobo cost-eval --data`: both CSVs, then stdout.
 COST_EVAL_FILES = ("cost_eval.csv", "transfer_eval.csv")
 COST_EVAL_DATA_SHA = (
@@ -57,10 +94,21 @@ COST_EVAL_DATA_SHA = (
 )
 
 
-def _digest(trace, tmp_path) -> str:
+def _choice_digest(path) -> str:
+    """SHA-256 of the ``CHOICE_COLUMNS`` of every record of a trace file."""
+    digest = hashlib.sha256()
+    for line in path.read_text().splitlines():
+        row = json.loads(line)
+        if row.get("type") != "meta":
+            digest.update(json.dumps([row[k] for k in CHOICE_COLUMNS]).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def _digests(trace, tmp_path) -> tuple[str, str]:
+    """The choice digest and the byte digest of ``trace`` as written."""
     path = tmp_path / "trace.jsonl"
     trace.write(path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _choice_digest(path), hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _replay_table(path, rows=120):
@@ -129,7 +177,7 @@ def test_cei_branin_expensive_digest(tmp_path):
         seed=11, acquisition=CEI(0.5), budget=Iterations(15), candidate_count=128
     )
     trace = run(build_problem("branin/expensive", 0.0, seed=11), cfg)
-    assert _digest(trace, tmp_path) == CEI_BRANIN_SHA
+    assert _digests(trace, tmp_path) == (CEI_BRANIN_CHOICE_SHA, CEI_BRANIN_SHA)
 
 
 def test_eipu_hartmann3_persistence_digest(tmp_path):
@@ -139,7 +187,7 @@ def test_eipu_hartmann3_persistence_digest(tmp_path):
     problem = build_problem("hartmann3/expensive", 0.0, seed=5)
     trace = run(problem, cfg, track_persistence=True)
     assert any(r.persistence is not None for r in trace.records)
-    assert _digest(trace, tmp_path) == EIPU_HARTMANN3_SHA
+    assert _digests(trace, tmp_path) == (EIPU_HARTMANN3_CHOICE_SHA, EIPU_HARTMANN3_SHA)
 
 
 def test_replay7d_gplv3_digest(tmp_path):
@@ -153,7 +201,7 @@ def test_replay7d_gplv3_digest(tmp_path):
         candidate_count=64,
     )
     trace = run(problem, cfg)
-    assert _digest(trace, tmp_path) == REPLAY7D_SHA
+    assert _digests(trace, tmp_path) == (REPLAY7D_CHOICE_SHA, REPLAY7D_SHA)
 
 
 def test_ei_cool_cost_budget_digest(tmp_path):
@@ -167,7 +215,9 @@ def test_ei_cool_cost_budget_digest(tmp_path):
     assert len(trace) == 14
     assert trace.records[-1].over_budget
     assert not any(r.over_budget for r in trace.records[:-1])
-    assert _digest(trace, tmp_path) == EICOOL_COST_BUDGET_SHA
+    assert _digests(trace, tmp_path) == (
+        EICOOL_COST_BUDGET_CHOICE_SHA, EICOOL_COST_BUDGET_SHA
+    )
 
 
 def test_failing_black_box_digest(tmp_path):
@@ -183,7 +233,9 @@ def test_failing_black_box_digest(tmp_path):
     # Calls 6 and 7 are fallback draws (no valid row yet); call 8 is the first valid.
     first_valid = next(r for r in trace.records if not r.failed)
     assert first_valid.iteration == 8 and first_valid.max_ei is None
-    assert _digest(trace, tmp_path) == FAILING_BLACK_BOX_SHA
+    assert _digests(trace, tmp_path) == (
+        FAILING_BLACK_BOX_CHOICE_SHA, FAILING_BLACK_BOX_SHA
+    )
 
 
 def test_pareto_trace_outputs_digest(tmp_path):
@@ -194,6 +246,7 @@ def test_pareto_trace_outputs_digest(tmp_path):
     assert main(argv) == 0
     fronts = (tmp_path / "fronts.csv").read_text().splitlines()
     assert any(line.endswith(",0") for line in fronts)  # survival flags are written
+    assert _choice_digest(tmp_path / "trace.jsonl") == PARETO_TRACE_CHOICE_SHA
     assert _file_digest(tmp_path, PARETO_TRACE_FILES) == PARETO_TRACE_SHA
 
 
