@@ -483,12 +483,20 @@ def implied_alpha(sel: SelectionResult) -> float | None:
     contiguous run of grid values whose EIAlpha argmax (same tie-breaks)
     matches the selection, and returns that run's midpoint. None when no
     grid value reproduces the choice.
+
+    Only candidates that cost the same as some front member are scored. For
+    any alpha >= 0 the argmax lies among them: a candidate at a cost with no
+    front member is beaten by a cheaper one with at least its EI, whose
+    score is at least its own (``pow`` is monotone in its base), and which
+    wins a tie by cost.
     """
     eis, costs = sel.candidates.ei, sel.candidates.cost
+    scanned = np.flatnonzero(np.isin(costs, sel.front.cost))
+    eis, costs = eis[scanned], costs[scanned]
     matches = np.zeros(len(IMPLIED_ALPHA_GRID), dtype=bool)
     for g, alpha in enumerate(IMPLIED_ALPHA_GRID):
         scores = eis / costs**alpha
-        matches[g] = _argmax_with_tiebreak(scores, costs) == sel.chosen_index
+        matches[g] = scanned[_argmax_with_tiebreak(scores, costs)] == sel.chosen_index
 
     best_len, best_start = 0, -1
     run_len, run_start = 0, 0

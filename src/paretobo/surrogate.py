@@ -35,8 +35,15 @@ LBFGS_MAXITER = 60
 # Diagonal jitter escalation on Cholesky failure.
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
-# LAPACK Cholesky factorization and solve, looked up once.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# Cells (rows times training points) of one cross-kernel block: 128 KiB of
+# float64, so a block and its scratch stay in cache while they are filled.
+KERNEL_BLOCK_CELLS = 16384
+
+# LAPACK Cholesky factorization, Cholesky solve and triangular solve, looked
+# up once.
+_POTRF, _POTRS, _TRTRS = get_lapack_funcs(
+    ("potrf", "potrs", "trtrs"), dtype=np.float64
+)
 
 
 @dataclass(frozen=True)
@@ -107,9 +114,9 @@ class GPModel:
 
 
 def _matern52(
-    scaled_sq: np.ndarray, signal_variance: float, scratch: np.ndarray
+    scaled_sq: np.ndarray, signal_variance: float, scratch: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Matern-5/2 values from squared lengthscale-scaled distances.
+    """Matern-5/2 values from squared lengthscale-scaled distances, into ``out``.
 
     Works in place: ``scaled_sq`` is overwritten (it ends holding exp(-s))
     and ``scratch``, an array of the same shape, is used as a temporary.
@@ -118,7 +125,7 @@ def _matern52(
     s = np.maximum(scaled_sq, 0.0, out=scaled_sq)
     np.sqrt(s, out=s)
     s *= SQRT5
-    k = s + 1.0
+    k = np.add(s, 1.0, out=out)
     np.multiply(s, s, out=scratch)
     scratch /= 3.0
     k += scratch
@@ -129,21 +136,48 @@ def _matern52(
     return k
 
 
-def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
+def _block_rows(n: int) -> int:
+    """Rows of a cross-kernel block against ``n`` training points."""
+    return max(1, KERNEL_BLOCK_CELLS // max(n, 1))
+
+
+def _fill_cross_kernel(
+    X1: np.ndarray, X2: np.ndarray, params: KernelParams, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Kernel between ``X1`` (m, d) and ``X2`` (n, d), written into ``out``.
+
+    ``work`` holds two scratch arrays of ``out``'s shape.
+    """
     # Sum the scaled squared distance one dimension at a time, in dimension
     # order, instead of building the (m, n, d) difference tensor. The first
     # dimension starts the sum; the others share one difference buffer.
     lengthscales = params.lengthscales
-    scaled_sq = np.subtract.outer(X1[:, 0], X2[:, 0])
+    scaled_sq, diff = work
+    np.subtract.outer(X1[:, 0], X2[:, 0], out=scaled_sq)
     scaled_sq /= lengthscales[0]
     scaled_sq *= scaled_sq
-    diff = np.empty_like(scaled_sq)
     for k in range(1, len(lengthscales)):
         np.subtract.outer(X1[:, k], X2[:, k], out=diff)
         diff /= lengthscales[k]
         diff *= diff
         scaled_sq += diff
-    return _matern52(scaled_sq, params.signal_variance, diff)
+    return _matern52(scaled_sq, params.signal_variance, diff, out)
+
+
+def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Kernel matrix (m, n) between ``X1`` (m, d) and ``X2`` (n, d).
+
+    Filled ``_block_rows(n)`` rows at a time. Every entry is computed on its
+    own, so the blocks do not change its bits.
+    """
+    m, n = X1.shape[0], X2.shape[0]
+    out = np.empty((m, n))
+    rows = _block_rows(n)
+    work = np.empty((2, min(rows, m), n))
+    for start in range(0, m, rows):
+        block = out[start : start + rows]
+        _fill_cross_kernel(X1[start : start + rows], X2, params, block, work[:, : len(block)])
+    return out
 
 
 def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -412,20 +446,32 @@ def gp_fit(
 
 
 def gp_posterior_many(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means/variances (native units) at points ``X`` of shape (m, d)."""
+    """Posterior means/variances (native units) at points ``X`` of shape (m, d).
+
+    Rows go ``_block_rows(n_train)`` at a time. For each block, the mean is
+    ``k* @ alpha`` and the variance ``sv + nv - sum(v**2)`` with
+    ``v = L^-1 k*^T``, one triangular solve on the Cholesky factor ``L``.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     params = model.params
-    k_star = _cross_kernel(X, model.train_inputs, params)  # (m, n)
-    mean_std = params.mean_constant + k_star @ model.alpha
-    if not np.isfinite(k_star).all():
-        raise NumericError("non-finite cross-kernel entries")
-    v = _solve(model.chol, k_star.T)  # (n, m)
-    var_std = (
-        params.signal_variance
-        + params.noise_variance
-        - np.einsum("mn,nm->m", k_star, v)
-    )
-    var_std = np.maximum(var_std, 0.0)
+    m, n = X.shape[0], model.n_train
+    rows = _block_rows(n)
+    k_star = np.empty((min(rows, m), n))
+    work = np.empty((2, *k_star.shape))
+    mean_std = np.empty(m)
+    var_std = np.empty(m)
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        k = k_star[: stop - start]
+        _fill_cross_kernel(X[start:stop], model.train_inputs, params, k, work[:, : len(k)])
+        if not np.isfinite(k).all():
+            raise NumericError("non-finite cross-kernel entries")
+        np.matmul(k, model.alpha, out=mean_std[start:stop])
+        # v = L^-1 k^T, written over k: chol's lower triangle is L.
+        v, _ = _TRTRS(model.chol, k.T, lower=1, overwrite_b=1)
+        np.einsum("nm,nm->m", v, v, out=var_std[start:stop])
+    mean_std += params.mean_constant
+    var_std = np.maximum(params.signal_variance + params.noise_variance - var_std, 0.0)
     mean = model.target_mean + model.target_std * mean_std
     var = (model.target_std**2) * var_std
     return mean, var

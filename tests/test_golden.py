@@ -38,21 +38,21 @@ CHOICE_COLUMNS = (
 
 # Criterion 12's configuration: branin/expensive, CEI(0.5), 15 evaluations.
 CEI_BRANIN_SHA = (
-    "09be6a68b5e1a879a6ead16cf00215d5df430217ff50ade6877ad05bbbe2b268"
+    "d51627b5c4efd987bb452336930b5970334f70e7888465e3eb82c6e6793a1057"
 )
 CEI_BRANIN_CHOICE_SHA = (
     "0ef2e6b1a2eaea9a3eca3c43d000dcaba1ea7e4f50cbb89147b26c2d07c968f8"
 )
 # hartmann3/expensive, EIpu, 12 evaluations, 2048 candidates, persistence on.
 EIPU_HARTMANN3_SHA = (
-    "1793cc781d67448dd22fdac56f0a3bab06f2993ee6d368ef8175e0603864f545"
+    "37d025f1fe4bc0b060445fa848f6a14acdb7a1e93fdf4a239b8e0232413e4b7a"
 )
 EIPU_HARTMANN3_CHOICE_SHA = (
     "1af25900c37782cb0c3890f6b24d9e5ca84fdd557bf23d5149106982a0cd119a"
 )
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
-    "42f2f4fcf01ffb9474efa355b99dcbb53f9259cba3ef0c21215f07ed0275f322"
+    "05118dcc8558574b338f201b0e60c2b2249b2251a8ee85ef4d5630e4cb8b886a"
 )
 REPLAY7D_CHOICE_SHA = (
     "62574a7cf21d404c1094bb0db028299bac04cb7fd3c8cc90906bce79c1abc4c5"
@@ -60,7 +60,7 @@ REPLAY7D_CHOICE_SHA = (
 # hartmann3/explinear, EI-cool resolved from an 80.0 cost budget: 14 evaluations,
 # the last one over budget.
 EICOOL_COST_BUDGET_SHA = (
-    "5ccad8464005f7cfd8cdaf3e2ddc6b870123c084806a28ffadad101beed6e3ff"
+    "0dd474b8873c19de31fc1248bcf571e6e881c5cba395e3c1fd3fcf03bef12181"
 )
 EICOOL_COST_BUDGET_CHOICE_SHA = (
     "1d8724433cce736e1e768a1154d34a4b68115281d6af54cb6b50e860b8dd4fb1"
@@ -68,7 +68,7 @@ EICOOL_COST_BUDGET_CHOICE_SHA = (
 # hartmann3/cheap, EIAlpha(0.3), a 60.0 cost budget and a black box that fails
 # in every way the loop handles (see `_failing`): 16 evaluations, 11 failed.
 FAILING_BLACK_BOX_SHA = (
-    "5681487366ec0ef373cada02772757493f7b04f003dc188e54249e2d5ee85575"
+    "189c7d0aa639a16cd0436b4a958d53717e2c28348c360cfac7f9cf1162908f60"
 )
 FAILING_BLACK_BOX_CHOICE_SHA = (
     "de85ff464ee697dd5c854256643afdbdca42a03c6f7ed68f8f6a660731fef291"
@@ -82,7 +82,7 @@ PARETO_TRACE_FILES = (
     "implied_alpha.csv",
 )
 PARETO_TRACE_SHA = (
-    "8b48a08dc3a8ddf2c80d51e4087cad4bb7c099f7345d063caea5f5100b3608ee"
+    "9944b5d133ac8cca31d1d9c961c3f8effc547635d4fc92cf1b8331820abebbd0"
 )
 PARETO_TRACE_CHOICE_SHA = (
     "464f03bc49f3da04a91529566d1c0675616f9cff7c0f784f15d4e29fe4c8577f"
