@@ -82,6 +82,15 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if (
+            isinstance(self.acquisition, acq.EICool)
+            and self.acquisition.total_budget is None
+            and not isinstance(self.budget, SimulatedCost)
+        ):
+            raise ConfigError(
+                "EI-cool needs a total cost budget: set total_budget or use a "
+                "SimulatedCost budget"
+            )
 
     def to_dict(self) -> dict:
         row = asdict(self)
@@ -277,15 +286,8 @@ def constrained_best(trace: Trace, tau: float) -> tuple[float, float]:
 def _resolve_ei_cool(
     kind: acq.EICool, budget: Budget, init_cost: float
 ) -> acq.EICool:
-    total = kind.total_budget
-    if total is None:
-        if isinstance(budget, SimulatedCost):
-            total = budget.tau
-        else:
-            raise ConfigError(
-                "EI-cool needs a total cost budget: set total_budget or use a "
-                "SimulatedCost budget"
-            )
+    # RunConfig ensures a total: given, or the SimulatedCost budget's.
+    total = kind.total_budget if kind.total_budget is not None else budget.tau
     init = kind.init_budget if kind.init_budget is not None else init_cost
     if total <= init:
         raise ConfigError(

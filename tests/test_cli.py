@@ -1,6 +1,7 @@
 """Harness tests: subcommands, aggregation oracles, reproducibility."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paretobo import cli
 from paretobo.acquisition import CEI, EI
 from paretobo.bench import OBJECTIVES
 from paretobo.cli import (
@@ -360,6 +362,29 @@ class TestCommands:
         record = json.loads(err)
         assert record["error"] == error
         assert repr(bad.format(tmp=tmp_path)) in record["message"]
+
+
+    def test_ei_cool_without_a_cost_budget_fails_before_evaluating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counting_problem(*args, **kwargs):
+            problem = build_problem(*args, **kwargs)
+
+            def evaluate(u):
+                calls.append(u)
+                return problem.evaluate(u)
+
+            return dataclasses.replace(problem, evaluate=evaluate)
+
+        monkeypatch.setattr(cli, "build_problem", counting_problem)
+        argv = ["run", "--acq", "ei-cool", "--iters", "8", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "total cost budget" in record["message"]
+        assert calls == []
 
 
 class TestMalformedTraces:

@@ -308,6 +308,18 @@ class TestEICool:
         with pytest.raises(ConfigError):
             run(quick_problem(), quick_config(acquisition=EICool()))
 
+    def test_missing_total_budget_raises_before_any_evaluation(self):
+        calls = []
+
+        def evaluate(u):
+            calls.append(u)
+            return 1.0, 1.0
+
+        problem = BlackBox(space=quick_problem().space, evaluate=evaluate, name="spy")
+        with pytest.raises(ConfigError, match="total cost budget"):
+            run(problem, quick_config(acquisition=EICool()))
+        assert calls == []
+
     def test_resolves_from_simulated_cost_budget(self):
         cfg = quick_config(acquisition=EICool(), budget=SimulatedCost(40.0))
         trace = run(quick_problem(), cfg)
