@@ -108,20 +108,29 @@ def reference_run_config_dict(cfg: RunConfig) -> dict:
     }
 
 
-run_configs = st.builds(
-    RunConfig,
-    seed=st.integers(0, 2**32 - 1),
-    acquisition=kinds,
-    cost_model=st.sampled_from(ONLINE_COST_KINDS),
-    budget=st.builds(Iterations, st.integers(1, 500))
-    | st.builds(SimulatedCost, positive),
-    init_design_size=st.none() | st.integers(1, 50),
-    candidate_count=st.integers(1, 10_000),
-)
+iteration_budgets = st.builds(Iterations, st.integers(1, 500))
+cost_budgets = st.builds(SimulatedCost, positive)
+
+
+@st.composite
+def run_configs(draw):
+    """A valid RunConfig: EI-cool with no total budget gets a cost budget."""
+    acquisition = draw(kinds)
+    needs_cost_budget = (
+        isinstance(acquisition, acq.EICool) and acquisition.total_budget is None
+    )
+    return RunConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        acquisition=acquisition,
+        cost_model=draw(st.sampled_from(ONLINE_COST_KINDS)),
+        budget=draw(cost_budgets if needs_cost_budget else iteration_budgets | cost_budgets),
+        init_design_size=draw(st.none() | st.integers(1, 50)),
+        candidate_count=draw(st.integers(1, 10_000)),
+    )
 
 
 @SETTINGS
-@given(run_configs)
+@given(run_configs())
 def test_run_config_dict_matches_the_hand_written_encoding(cfg):
     encoded, expected = cfg.to_dict(), reference_run_config_dict(cfg)
     assert encoded == expected
