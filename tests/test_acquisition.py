@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paretobo.acquisition import (
     CEI,
@@ -14,6 +16,7 @@ from paretobo.acquisition import (
     EICool,
     EIpu,
     IMPLIED_ALPHA_GRID,
+    SelectionResult,
     cei_select,
     cost_floor_for,
     dominates,
@@ -459,6 +462,91 @@ class TestImpliedAlpha:
         sel = cei_select(cands, 0.03)
         assert sel.chosen_index == 1
         assert implied_alpha(sel) is None or implied_alpha(sel) >= 0
+
+
+def full_scan_implied_alpha(sel):
+    """The 121-value scan over every candidate, as implied_alpha once was."""
+    eis, costs = sel.candidates.ei, sel.candidates.cost
+    matches = np.zeros(len(IMPLIED_ALPHA_GRID), dtype=bool)
+    for g, alpha in enumerate(IMPLIED_ALPHA_GRID):
+        scores = eis / costs**alpha
+        tied = np.flatnonzero(scores == scores.max())
+        tied = tied[costs[tied] == costs[tied].min()]
+        matches[g] = int(tied[0]) == sel.chosen_index
+    best_len, best_start = 0, -1
+    run_len, run_start = 0, 0
+    for g, hit in enumerate(matches):
+        if hit:
+            if run_len == 0:
+                run_start = g
+            run_len += 1
+            if run_len > best_len:
+                best_len, best_start = run_len, run_start
+        else:
+            run_len = 0
+    if best_len == 0:
+        return None
+    lo = IMPLIED_ALPHA_GRID[best_start]
+    hi = IMPLIED_ALPHA_GRID[best_start + best_len - 1]
+    return float(0.5 * (lo + hi))
+
+
+# EIs that are zero, subnormal or ordinary; costs of 0 clamp to the floor.
+SPECIAL_EIS = st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+EI_VALUES = st.one_of(SPECIAL_EIS, st.floats(1e-300, 10.0))
+COST_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+
+
+@st.composite
+def clamped_sets(draw):
+    """A scored set drawn from a few (EI, cost) pairs, so pairs repeat, with
+    its costs clamped to a floor that many of them fall under."""
+    pairs = draw(st.lists(st.tuples(EI_VALUES, COST_VALUES), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1, max_size=40))
+    floor = draw(st.sampled_from([1e-6, 0.37, 5.0]))
+    eis = np.array([pairs[i][0] for i in picks])
+    costs = np.maximum([pairs[i][1] for i in picks], floor)
+    return CandidateSet(np.arange(len(eis), dtype=float)[:, None], eis, costs)
+
+
+# A selection rule, or an int: the index of an arbitrary chosen member.
+RULES = st.one_of(
+    st.sampled_from([EI(), EIpu(), CEI(0.0), CEI(1.0)]),
+    st.builds(EIAlpha, st.floats(0.0, 8.0)),
+    st.builds(CEI, st.floats(0.0, 1.0)),
+    st.integers(0, 40),
+)
+
+
+class TestImpliedAlphaExactness:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(cands=clamped_sets(), rule=RULES)
+    @example(cands=cset([(0.3, 1.0)]), rule=CEI(0.5))
+    @example(cands=cset([(0.0, 1.0)]), rule=EI())
+    @example(cands=cset([(0.3, 1.0), (0.3, 1.0)]), rule=CEI(0.5))
+    @example(cands=cset([(0.2, 1.0), (0.3, 1.0)]), rule=0)
+    @example(cands=cset([(5e-324, 2.0), (0.0, 1.0)]), rule=CEI(1.0))
+    @example(cands=cset([(0.9, 3.0), (0.3, 1.0)]), rule=CEI(0.5))
+    # Off the front, yet the argmax for alpha >= 1: both scores underflow to 0,
+    # and the tie goes to the lower index.
+    @example(cands=cset([(0.0, 2.0), (5e-324, 2.0)]), rule=0)
+    @example(cands=cset([(1e-310, 100.0), (2e-310, 100.0), (0.5, 1e3)]), rule=0)
+    def test_front_scan_equals_the_full_scan(self, cands, rule):
+        if isinstance(rule, int):
+            index = rule % len(cands)
+            sel = SelectionResult(cands[index], index, pareto_front(cands), cands)
+        else:
+            sel = select(rule, cands)
+        assert implied_alpha(sel) == full_scan_implied_alpha(sel)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_front_scan_equals_the_full_scan_on_large_sets(self, duplicates):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            cands = random_candidates(rng, 2000, duplicates=duplicates)
+            for kind in (CEI(0.1), CEI(0.5), EIpu(), EIAlpha(0.3)):
+                sel = select(kind, cands)
+                assert implied_alpha(sel) == full_scan_implied_alpha(sel)
 
 
 class TestCandidateGeneration:

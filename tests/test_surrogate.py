@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from paretobo.errors import DataError
+import paretobo.surrogate as surrogate_mod
+from paretobo.errors import DataError, NumericError
 from paretobo.surrogate import (
     JITTERS,
+    KERNEL_BLOCK_CELLS,
     LOG_LENGTHSCALE_BOUNDS,
     LOG_NOISE_BOUNDS,
     LOG_SIGNAL_BOUNDS,
@@ -444,3 +446,78 @@ class TestWorkspace:
             ref_mll, ref_grad, _ = reference_mll_value_and_grad(theta, X, y_std, sq)
             assert mll.hex() == ref_mll.hex()
             assert grad.tobytes() == ref_grad.tobytes()
+
+
+def block_model(n, d=2, noise=0.05, seed=0):
+    """A model on ``n`` random points and the row count of its posterior blocks."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, d))
+    y = np.sin(3.0 * X.sum(axis=1)) + 0.1 * rng.normal(size=n)
+    params = KernelParams(1.4, rng.uniform(0.2, 0.8, size=d), noise, 0.1)
+    return build_model(X, y, params), KERNEL_BLOCK_CELLS // n
+
+
+def dense_posterior(model, probes):
+    """Means and ``k** - k*^T K^-1 k*`` (native units) by one dense solve."""
+    params = model.params
+    X = model.train_inputs
+    K = reference_cross_kernel(X, X, params) + (
+        params.noise_variance + model.jitter
+    ) * np.eye(len(X))
+    k_star = reference_cross_kernel(probes, X, params)
+    resid = model.train_targets_std - params.mean_constant
+    mean_std = params.mean_constant + k_star @ np.linalg.solve(K, resid)
+    quad = np.sum(k_star.T * np.linalg.solve(K, k_star.T), axis=0)
+    var_std = params.signal_variance + params.noise_variance - quad
+    return (
+        model.target_mean + model.target_std * mean_std,
+        model.target_std**2 * var_std,
+    )
+
+
+class TestBlockedPosterior:
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("extra,blocks", [(-1, 1), (0, 1), (1, 1), (1, 2)])
+    def test_matches_a_dense_solve_at_block_edges(self, n, extra, blocks):
+        model, rows = block_model(n)
+        m = blocks * rows + extra  # rows - 1, rows, rows + 1 and 2 rows + 1
+        probes = np.random.default_rng(n + m).uniform(size=(m, 2))
+        means, variances = gp_posterior_many(model, probes)
+        dense_means, dense_variances = dense_posterior(model, probes)
+        np.testing.assert_allclose(variances, dense_variances, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(
+            means, dense_means, rtol=1e-10, atol=1e-12 * model.target_std
+        )
+
+    def test_variance_never_negative(self):
+        # Probes on the training points of a noise-free model: there the
+        # subtracted quadratic form equals the prior variance, up to rounding.
+        model, rows = block_model(60, noise=0.0)
+        assert model.jitter == 0.0
+        rng = np.random.default_rng(4)
+        X = model.train_inputs
+        probes = np.vstack([np.repeat(X, 3 * rows // len(X) + 1, axis=0), X + 1e-9])
+        probes = probes[rng.permutation(len(probes))]
+        _, variances = gp_posterior_many(model, probes)
+        assert len(probes) > 3 * rows
+        assert np.all(variances >= 0.0)
+
+    @pytest.mark.parametrize("m,n", [(1000, 37), (5, 4000), (20000, 1)])
+    def test_blocked_cross_kernel_is_bitwise_one_block(self, monkeypatch, m, n):
+        rng = np.random.default_rng(m + n)
+        params = KernelParams(0.9, rng.uniform(0.1, 1.0, size=3), 1e-3)
+        X1 = rng.uniform(size=(m, 3))
+        X2 = rng.uniform(size=(n, 3))
+        assert m > KERNEL_BLOCK_CELLS // n  # at least two blocks
+        blocked = _cross_kernel(X1, X2, params)
+        monkeypatch.setattr(surrogate_mod, "KERNEL_BLOCK_CELLS", m * n)
+        one_block = _cross_kernel(X1, X2, params)
+        assert blocked.tobytes() == one_block.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_in_the_last_block_raises(self, bad):
+        model, rows = block_model(37)
+        probes = np.random.default_rng(8).uniform(size=(2 * rows + 1, 2))
+        probes[-1, 1] = bad
+        with pytest.raises(NumericError, match="non-finite cross-kernel"):
+            gp_posterior_many(model, probes)
