@@ -36,7 +36,7 @@ LBFGS_MAXITER = 60
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 # Cells (rows times training points) of one cross-kernel block: 128 KiB of
-# float64, so a block and its scratch stay in cache while they are filled.
+# float64, so a block and its two scratch arrays fit in a 2 MiB L2 cache.
 KERNEL_BLOCK_CELLS = 16384
 
 # LAPACK Cholesky factorization, Cholesky solve and triangular solve, looked
@@ -114,7 +114,10 @@ class GPModel:
 
 
 def _matern52(
-    scaled_sq: np.ndarray, signal_variance: float, scratch: np.ndarray, out: np.ndarray
+    scaled_sq: np.ndarray,
+    signal_variance: float,
+    scratch: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Matern-5/2 values from squared lengthscale-scaled distances, into ``out``.
 
@@ -142,7 +145,11 @@ def _block_rows(n: int) -> int:
 
 
 def _fill_cross_kernel(
-    X1: np.ndarray, X2: np.ndarray, params: KernelParams, out: np.ndarray, work: np.ndarray
+    X1: np.ndarray,
+    X2: np.ndarray,
+    params: KernelParams,
+    out: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     """Kernel between ``X1`` (m, d) and ``X2`` (n, d), written into ``out``.
 
@@ -175,8 +182,9 @@ def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.nd
     rows = _block_rows(n)
     work = np.empty((2, min(rows, m), n))
     for start in range(0, m, rows):
-        block = out[start : start + rows]
-        _fill_cross_kernel(X1[start : start + rows], X2, params, block, work[:, : len(block)])
+        block = slice(start, min(start + rows, m))
+        scratch = work[:, : block.stop - start]
+        _fill_cross_kernel(X1[block], X2, params, out[block], scratch)
     return out
 
 
@@ -461,17 +469,18 @@ def gp_posterior_many(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     mean_std = np.empty(m)
     var_std = np.empty(m)
     for start in range(0, m, rows):
-        stop = min(start + rows, m)
-        k = k_star[: stop - start]
-        _fill_cross_kernel(X[start:stop], model.train_inputs, params, k, work[:, : len(k)])
+        block = slice(start, min(start + rows, m))
+        k = k_star[: block.stop - start]
+        _fill_cross_kernel(X[block], model.train_inputs, params, k, work[:, : len(k)])
         if not np.isfinite(k).all():
             raise NumericError("non-finite cross-kernel entries")
-        np.matmul(k, model.alpha, out=mean_std[start:stop])
+        np.matmul(k, model.alpha, out=mean_std[block])
         # v = L^-1 k^T, written over k: chol's lower triangle is L.
         v, _ = _TRTRS(model.chol, k.T, lower=1, overwrite_b=1)
-        np.einsum("nm,nm->m", v, v, out=var_std[start:stop])
+        np.einsum("nm,nm->m", v, v, out=var_std[block])
     mean_std += params.mean_constant
-    var_std = np.maximum(params.signal_variance + params.noise_variance - var_std, 0.0)
+    prior_var = params.signal_variance + params.noise_variance
+    var_std = np.maximum(prior_var - var_std, 0.0)
     mean = model.target_mean + model.target_std * mean_std
     var = (model.target_std**2) * var_std
     return mean, var
