@@ -530,7 +530,7 @@ class TestImpliedAlphaExactness:
     # Off the front, yet the argmax for alpha >= 1: both scores underflow to 0,
     # and the tie goes to the lower index.
     @example(cands=cset([(0.0, 2.0), (5e-324, 2.0)]), rule=0)
-    @example(cands=cset([(1e-310, 100.0), (2e-310, 100.0), (0.5, 1e3)]), rule=0)
+    @example(cands=cset([(1e-310, 100.0), (2e-310, 100.0)]), rule=0)
     def test_front_scan_equals_the_full_scan(self, cands, rule):
         if isinstance(rule, int):
             index = rule % len(cands)
