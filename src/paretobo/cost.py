@@ -200,11 +200,11 @@ def select_features(U: np.ndarray, logc: np.ndarray, k: int) -> list[int]:
     return order[:k_eff]
 
 
-def _fit_constant(U, logc, rng=None) -> LinearCost:
+def _fit_constant(U, logc, rng=None, warm_start=None) -> LinearCost:
     return LinearCost("constant", (), np.zeros(0), float(np.mean(logc)), np.zeros(0))
 
 
-def _fit_lv(U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
+def _fit_lv(U, logc, rng=None, warm_start=None, *, k, meta_cols=None) -> LinearCost:
     """OLS of log cost on the k selected features and any ``meta_cols``.
 
     Columns are centered; a rank-deficient design is solved by ridge
@@ -234,21 +234,23 @@ def _fit_lv(U, logc, rng=None, *, k, meta_cols=None) -> LinearCost:
     )
 
 
-def _fit_warped_gp(U, logc, rng=None) -> GPCost:
-    gp = gp_fit(U, logc, restarts=GP_RESTARTS, rng=rng)
+def _fit_warped_gp(U, logc, rng=None, warm_start=None) -> GPCost:
+    gp = gp_fit(U, logc, restarts=GP_RESTARTS, rng=rng, warm_start=warm_start)
     return GPCost(kind="warped_gp", gp=gp, selected_features=())
 
 
-def _fit_limited_gp(U, logc, rng=None) -> GPCost:
+def _fit_limited_gp(U, logc, rng=None, warm_start=None) -> GPCost:
     features = select_features(U, logc, 3)
-    gp = gp_fit(U[:, features], logc, restarts=GP_RESTARTS, rng=rng)
+    gp = gp_fit(
+        U[:, features], logc, restarts=GP_RESTARTS, rng=rng, warm_start=warm_start
+    )
     return GPCost(kind="limited_gp3", gp=gp, selected_features=tuple(features))
 
 
-def _fit_gplv(U, logc, rng=None, *, k) -> GPCost:
+def _fit_gplv(U, logc, rng=None, warm_start=None, *, k) -> GPCost:
     base = _fit_lv(U, logc, k=k)
     resid = logc - base.predict_log_unit(U)
-    gp = gp_fit(U, resid, restarts=GP_RESTARTS, rng=rng)
+    gp = gp_fit(U, resid, restarts=GP_RESTARTS, rng=rng, warm_start=warm_start)
     kind = f"gplv{len(base.selected_features)}"
     model = GPCost(kind=kind, gp=gp, selected_features=(), base=base)
     # Keep the residual GP only when it does not worsen the in-sample fit,
@@ -260,7 +262,7 @@ def _fit_gplv(U, logc, rng=None, *, k) -> GPCost:
     return model
 
 
-# Each online kind's minimum sample count and its fit (U, logc, rng).
+# Each online kind's minimum sample count and its fit (U, logc, rng, warm_start).
 _ONLINE_KINDS = {
     "constant": (1, _fit_constant),
     "lv1": (3, partial(_fit_lv, k=1)),
@@ -280,12 +282,15 @@ def fit_cost_model_unit(
     unit_points: np.ndarray,
     costs: np.ndarray,
     rng: np.random.Generator | None = None,
+    previous: CostModel | None = None,
 ) -> CostModel:
     """Fit an online cost model of ``kind`` on unit coordinates and costs.
 
     Falls back to the constant (geometric mean) predictor while fewer
     samples than the kind's minimum are available, so a usable cost
-    estimate exists from the first iteration.
+    estimate exists from the first iteration. The GP of ``previous``, the
+    last fit in a sequential loop, warm-starts a GP kind's fit (see
+    ``gp_fit``); without one, the fit is cold.
     """
     if kind not in _ONLINE_KINDS:
         raise ConfigError(
@@ -300,7 +305,8 @@ def fit_cost_model_unit(
     min_samples, fit = _ONLINE_KINDS[kind]
     if len(costs) < min_samples:
         fit = _fit_constant
-    return fit(U, np.log(costs), rng)
+    warm_start = previous.gp if isinstance(previous, GPCost) else None
+    return fit(U, np.log(costs), rng, warm_start)
 
 
 def transfer_fit(

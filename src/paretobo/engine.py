@@ -384,7 +384,7 @@ def run(
     if isinstance(resolved_kind, acq.EICool):
         resolved_kind = _resolve_ei_cool(resolved_kind, budget, trace.total_cost)
 
-    gp_params = None
+    model = cost_model = None  # the last fits, each the next one's warm start
     prev_front: CandidateSet | None = None
 
     # Sequential loop.
@@ -405,9 +405,8 @@ def run(
         ys = np.array([r.y for r in valid])
         costs = np.array([r.cost for r in valid])
 
-        model = gp_fit(X, ys, restarts=GP_RESTARTS, rng=rng, warm_start=gp_params)
-        gp_params = model.params
-        cost_model = fit_cost_model_unit(cfg.cost_model, X, costs, rng)
+        model = gp_fit(X, ys, restarts=GP_RESTARTS, rng=rng, warm_start=model)
+        cost_model = fit_cost_model_unit(cfg.cost_model, X, costs, rng, cost_model)
 
         cost_floor = acq.cost_floor_for(costs)
         sel = acq.propose(

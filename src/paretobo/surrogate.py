@@ -7,7 +7,8 @@ unit variance before fitting; posteriors are reported in native units.
 Hyperparameters are obtained by multi-start bounded quasi-Newton (L-BFGS-B)
 maximization of the log marginal likelihood, parameterized as
 ``theta = [log signal_variance, log lengthscale_1..d, log noise_variance,
-mean_constant]`` with analytic gradients.
+mean_constant]`` with analytic gradients. A fit warm-started from a previous
+model runs its random starts only when that warm start has gone stale.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ MEAN_BOUNDS = (-5.0, 5.0)
 
 # L-BFGS-B iteration cap per start of a hyperparameter fit.
 LBFGS_MAXITER = 60
+
+# A warm start is stale, so a fit runs its random starts too, when L-BFGS-B
+# from it gains more than STALE_GAIN_PER_POINT nats of MLL per training
+# point, or ends more than STALE_DROP_PER_POINT nats per point below the
+# warm-start model's own MLL per point.
+STALE_GAIN_PER_POINT = 0.01
+STALE_DROP_PER_POINT = 0.02
 
 # Diagonal jitter escalation on Cholesky failure.
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -372,13 +380,23 @@ def gp_fit(
     y: np.ndarray,
     restarts: int = 5,
     rng: np.random.Generator | None = None,
-    warm_start: KernelParams | None = None,
+    warm_start: GPModel | None = None,
 ) -> GPModel:
     """Fit GP hyperparameters by multi-start L-BFGS-B on the MLL.
 
-    ``X`` is (n, d), or (n,) for one dimension. The returned model's MLL is
-    at least the MLL of every start's initial parameters. ``warm_start`` (e.g. the previous iteration's params in a
-    sequential loop) replaces the default first start.
+    ``X`` is (n, d), or (n,) for one dimension. The first start is the
+    default parameters, or those of ``warm_start``, a previous fit such as
+    the last iteration's in a sequential loop. The other ``restarts - 1``
+    starts are random and are drawn from ``rng`` whether they run or not.
+
+    Without a warm start every start runs. With one, the random starts run
+    only when it is stale: L-BFGS-B from it raised the MLL by more than
+    ``STALE_GAIN_PER_POINT * n`` nats, or its fitted MLL per point is more
+    than ``STALE_DROP_PER_POINT`` below ``warm_start``'s own.
+
+    The returned model's MLL is at least the initial MLL of every start that
+    ran. Its ``fit_info`` holds that MLL, the initial MLL of each start that
+    ran (``init_mlls``) and their count (``restarts``).
     """
     X = np.asarray(X, dtype=float)
     X, y = _training_data(X[:, None] if X.ndim == 1 else X, y)
@@ -411,9 +429,8 @@ def gp_fit(
         value = seen.get(theta.tobytes())
         return -(neg_mll(theta)[0] if value is None else value)
 
-    starts = [warm_start.to_theta() if warm_start is not None else _default_start(d)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(_random_start(d, rng))
+    first = warm_start.params.to_theta() if warm_start is not None else _default_start(d)
+    random_starts = [_random_start(d, rng) for _ in range(max(0, restarts - 1))]
 
     bounds = (
         [LOG_SIGNAL_BOUNDS]
@@ -425,7 +442,9 @@ def gp_fit(
 
     evaluated: list[tuple[float, np.ndarray]] = []
     init_mlls: list[float] = []
-    for theta0 in starts:
+
+    def run_start(theta0: np.ndarray) -> float:
+        """L-BFGS-B from ``theta0``; returns the better of its two ends' MLLs."""
         theta0 = np.clip(theta0, lo, hi)
         result = minimize(
             neg_mll,
@@ -438,6 +457,17 @@ def gp_fit(
         init_mlls.append(mll_at(theta0))
         evaluated.append((init_mlls[-1], theta0))
         evaluated.append((mll_at(result.x), result.x))
+        return max(init_mlls[-1], evaluated[-1][0])
+
+    fitted = run_start(first)
+    if warm_start is None or (
+        fitted - init_mlls[0] > STALE_GAIN_PER_POINT * n
+        or fitted / n
+        < log_marginal_likelihood(warm_start) / warm_start.n_train
+        - STALE_DROP_PER_POINT
+    ):
+        for theta0 in random_starts:
+            run_start(theta0)
 
     best_mll, best_theta = max(evaluated, key=lambda item: item[0])
     if not np.isfinite(best_mll):
@@ -448,7 +478,7 @@ def gp_fit(
     model.fit_info = {
         "mll": best_mll,
         "init_mlls": init_mlls,
-        "restarts": len(starts),
+        "restarts": len(init_mlls),
     }
     return model
 

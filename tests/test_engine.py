@@ -184,6 +184,47 @@ class TestModelInputsIsolation:
         # fits happen before BO evaluations 6, 7, 8 on 5, 6, 7 observations
         assert seen_sizes == [5, 6, 7]
 
+    @pytest.mark.parametrize("cost_model", ["warped_gp", "gplv3", "lv3"])
+    def test_each_fit_is_warm_started_from_the_previous_model(
+        self, monkeypatch, cost_model
+    ):
+        gp_calls, cost_calls, cost_gp_calls = [], [], []
+        real_gp_fit = engine_mod.gp_fit
+        real_cost_fit = engine_mod.fit_cost_model_unit
+        real_cost_gp_fit = cost_mod.gp_fit
+
+        def spy_gp_fit(X, y, **kwargs):
+            model = real_gp_fit(X, y, **kwargs)
+            gp_calls.append((kwargs["warm_start"], model))
+            return model
+
+        def spy_cost_fit(kind, U, costs, rng, previous):
+            model = real_cost_fit(kind, U, costs, rng, previous)
+            cost_calls.append((previous, model))
+            return model
+
+        def spy_cost_gp_fit(X, y, **kwargs):
+            cost_gp_calls.append(kwargs["warm_start"])
+            return real_cost_gp_fit(X, y, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "gp_fit", spy_gp_fit)
+        monkeypatch.setattr(engine_mod, "fit_cost_model_unit", spy_cost_fit)
+        monkeypatch.setattr(cost_mod, "gp_fit", spy_cost_gp_fit)
+        run(quick_problem(), quick_config(cost_model=cost_model))
+        for calls in (gp_calls, cost_calls):
+            assert len(calls) == 4
+            assert calls[0][0] is None
+            assert all(calls[i][0] is calls[i - 1][1] for i in range(1, 4))
+        # A GP cost kind warm-starts its GP from the previous model's GP.
+        expected = [None] + [
+            getattr(model, "gp", None) for _, model in cost_calls[:-1]
+        ]
+        if cost_model == "lv3":
+            assert cost_gp_calls == []
+        else:
+            assert len(cost_gp_calls) == 4
+            assert all(a is b for a, b in zip(cost_gp_calls, expected))
+
 
 class TestTracedLayers:
     # Every layer the benchmark's tracer (perfbench/tracing.py) wraps, at the

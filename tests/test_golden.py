@@ -45,17 +45,17 @@ CEI_BRANIN_CHOICE_SHA = (
 )
 # hartmann3/expensive, EIpu, 12 evaluations, 2048 candidates, persistence on.
 EIPU_HARTMANN3_SHA = (
-    "37d025f1fe4bc0b060445fa848f6a14acdb7a1e93fdf4a239b8e0232413e4b7a"
+    "a752860492ef6b8009f55494ef3e46c08c785a02582e54349d19d9dfd52b9f06"
 )
 EIPU_HARTMANN3_CHOICE_SHA = (
-    "1af25900c37782cb0c3890f6b24d9e5ca84fdd557bf23d5149106982a0cd119a"
+    "02b92ba51f1009c1b2084cd0e9bf08168f55c615e0abb349cba6836f98399f52"
 )
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
-    "05118dcc8558574b338f201b0e60c2b2249b2251a8ee85ef4d5630e4cb8b886a"
+    "274cd6a1cbe79942b3ad7c1c32172e63d426e8b123e258784391257cd7b5a5f1"
 )
 REPLAY7D_CHOICE_SHA = (
-    "62574a7cf21d404c1094bb0db028299bac04cb7fd3c8cc90906bce79c1abc4c5"
+    "0e18d7f412e26793e9149bfd2809d601bc031e8f139c5cfe0d5438f645cdee09"
 )
 # hartmann3/explinear, EI-cool resolved from an 80.0 cost budget: 14 evaluations,
 # the last one over budget.
@@ -66,12 +66,12 @@ EICOOL_COST_BUDGET_CHOICE_SHA = (
     "1d8724433cce736e1e768a1154d34a4b68115281d6af54cb6b50e860b8dd4fb1"
 )
 # hartmann3/cheap, EIAlpha(0.3), a 60.0 cost budget and a black box that fails
-# in every way the loop handles (see `_failing`): 16 evaluations, 11 failed.
+# in every way the loop handles (see `_failing`): 17 evaluations, 11 failed.
 FAILING_BLACK_BOX_SHA = (
-    "189c7d0aa639a16cd0436b4a958d53717e2c28348c360cfac7f9cf1162908f60"
+    "6d1c84c274b0c41133cdddf7e4459473c5d89ad4b19f9318cf3c0c8fbcda3fd1"
 )
 FAILING_BLACK_BOX_CHOICE_SHA = (
-    "de85ff464ee697dd5c854256643afdbdca42a03c6f7ed68f8f6a660731fef291"
+    "78d17ed6116cceddc7cc91af0b025c8a13d9822c2d3a0885a20844156f6458d4"
 )
 # `paretobo pareto-trace`: the trace and its four CSVs, in PARETO_TRACE_FILES order.
 PARETO_TRACE_FILES = (
@@ -82,7 +82,7 @@ PARETO_TRACE_FILES = (
     "implied_alpha.csv",
 )
 PARETO_TRACE_SHA = (
-    "9944b5d133ac8cca31d1d9c961c3f8effc547635d4fc92cf1b8331820abebbd0"
+    "cd5f3b4ef344d5f62d62678ddc602f8a83527b0ceaa45c6f85ffb872ba9f9f08"
 )
 PARETO_TRACE_CHOICE_SHA = (
     "464f03bc49f3da04a91529566d1c0675616f9cff7c0f784f15d4e29fe4c8577f"
@@ -228,7 +228,7 @@ def test_failing_black_box_digest(tmp_path):
         candidate_count=128,
     )
     trace = run(_failing(build_problem("hartmann3/cheap", 0.0, seed=8)), cfg)
-    assert len(trace) == 16
+    assert len(trace) == 17
     assert sum(r.failed for r in trace.records) == 11
     # Calls 6 and 7 are fallback draws (no valid row yet); call 8 is the first valid.
     first_valid = next(r for r in trace.records if not r.failed)

@@ -123,6 +123,66 @@ class TestFit:
         assert one_d.params.to_theta().tobytes() == two_d.params.to_theta().tobytes()
 
 
+class TestWarmStartRestarts:
+    """A warm-started fit runs its random starts only when the warm start is stale."""
+
+    @staticmethod
+    def data(n=20, seed=21):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(n, 3))
+        return X, np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+
+    def test_warm_start_at_the_optimum_runs_one_start(self):
+        X, y = self.data()
+        fitted = gp_fit(X, y, restarts=3, rng=np.random.default_rng(1))
+        assert fitted.fit_info["restarts"] == 3
+        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=fitted)
+        assert model.fit_info["restarts"] == 1
+        assert len(model.fit_info["init_mlls"]) == 1
+        assert model.fit_info["mll"] >= model.fit_info["init_mlls"][0]
+
+    def test_stale_warm_start_runs_every_start(self):
+        X, y = self.data()
+        # Far from the optimum: L-BFGS-B gains far more than 0.01 nats per point.
+        stale = build_model(X, y, KernelParams(50.0, np.full(3, 5.0), 0.5, 1.0))
+        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=stale)
+        assert model.fit_info["restarts"] == 3
+        assert len(model.fit_info["init_mlls"]) == 3
+        assert model.fit_info["mll"] >= max(model.fit_info["init_mlls"])
+
+    def test_fit_worse_per_point_than_the_warm_start_runs_every_start(self):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(size=(20, 3))
+        y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=20)
+        params = gp_fit(X, y, restarts=3, rng=np.random.default_rng(1)).params
+        # The same parameters on smooth targets: L-BFGS-B from them gains
+        # nothing on y, but y's MLL per point is far below the warm start's.
+        warm = build_model(X, X[:, 0], params)
+        alone = gp_fit(X, y, restarts=1, warm_start=warm)
+        gain = alone.fit_info["mll"] - alone.fit_info["init_mlls"][0]
+        assert gain < 0.01 * len(y)
+        drop = log_marginal_likelihood(warm) / 20 - alone.fit_info["mll"] / 20
+        assert drop > 0.02
+        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=warm)
+        assert model.fit_info["restarts"] == 3
+        assert model.fit_info["mll"] > alone.fit_info["mll"]  # a restart did better
+
+    def test_rng_ends_at_the_same_position_whether_or_not_restarts_ran(self):
+        X, y = self.data()
+        fitted = gp_fit(X, y, restarts=3, rng=np.random.default_rng(1))
+        stale = build_model(X, y, KernelParams(50.0, np.full(3, 5.0), 0.5, 1.0))
+        states = []
+        for warm, ran in ((None, 3), (fitted, 1), (stale, 3)):
+            rng = np.random.default_rng(9)
+            model = gp_fit(X, y, restarts=3, rng=rng, warm_start=warm)
+            assert model.fit_info["restarts"] == ran
+            states.append(rng.bit_generator.state)
+        drawn = np.random.default_rng(9)
+        for _ in range(2):
+            _random_start(3, drawn)
+        assert states == [drawn.bit_generator.state] * 3
+
+
 class TestPosterior:
     def test_interpolates_training_points_at_low_noise(self):
         rng = np.random.default_rng(5)
@@ -355,7 +415,10 @@ class TestLapackPathMatchesReference:
         X = rng.uniform(size=(12, 3))
         y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
         warm = KernelParams(2e4, np.array([0.2, 5e3, 0.5]), 1e-9, 0.1)
-        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(5), warm_start=warm)
+        model = gp_fit(
+            X, y, restarts=3, rng=np.random.default_rng(5),
+            warm_start=build_model(X, y, warm),
+        )
 
         start_rng = np.random.default_rng(5)
         starts = [warm.to_theta()] + [_random_start(3, start_rng) for _ in range(2)]
