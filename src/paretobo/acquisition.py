@@ -63,8 +63,8 @@ class EIAlpha:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not (0.0 <= self.alpha < math.inf):
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,12 @@ class EICool:
 
     total_budget: float | None = None
     init_budget: float | None = None
+
+    def __post_init__(self):
+        for name in ("total_budget", "init_budget"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 < value < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -434,31 +440,37 @@ def kind_from_dict(payload: dict) -> AcquisitionKind:
 
 
 def parse_kind(text: str) -> AcquisitionKind:
-    """Parse CLI notation: ei, eipu, alpha:0.5, cei:0.25, ei-cool[:TOTAL[:INIT]]."""
+    """Parse CLI notation: ei, eipu, alpha:0.5, cei:0.25, ei-cool[:TOTAL[:INIT]].
+
+    Any bad notation or parameter is a ConfigError naming ``text``.
+    """
     name, *parts = text.strip().lower().split(":")
     try:
-        values = [float(v) for v in parts]
-    except ValueError as err:
+        return _kind_of(name, [float(v) for v in parts])
+    except ValueError as err:  # ConfigError included
         raise ConfigError(f"acquisition {text!r}: {err}") from None
+
+
+def _kind_of(name: str, values: list[float]) -> AcquisitionKind:
     if name in ("ei", "eipu"):
         if values:
-            raise ConfigError(f"{name} takes no parameters, got {text!r}")
+            raise ConfigError(f"{name} takes no parameters")
         return EI() if name == "ei" else EIpu()
     if name in ("alpha", "ei-alpha", "ei_alpha"):
         if len(values) != 1:
-            raise ConfigError(f"expected alpha:<value>, got {text!r}")
+            raise ConfigError("expected alpha:<value>")
         return EIAlpha(alpha=values[0])
     if name == "cei":
         if len(values) != 1:
-            raise ConfigError(f"expected cei:<lambda>, got {text!r}")
+            raise ConfigError("expected cei:<lambda>")
         return CEI(lam=values[0])
     if name in ("ei-cool", "ei_cool", "cool"):
         if len(values) > 2:
-            raise ConfigError(f"expected ei-cool[:TOTAL[:INIT]], got {text!r}")
+            raise ConfigError("expected ei-cool[:TOTAL[:INIT]]")
         total = values[0] if len(values) > 0 else None
         init = values[1] if len(values) > 1 else None
         return EICool(total_budget=total, init_budget=init)
-    raise ConfigError(f"unknown acquisition {text!r}")
+    raise ConfigError("unknown acquisition kind")
 
 
 def kind_id(kind: AcquisitionKind) -> str:

@@ -51,8 +51,8 @@ class SimulatedCost:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"cost budget must be positive, got {self.tau}")
+        if not (0.0 < self.tau < math.inf):
+            raise ConfigError(f"cost budget must be finite and > 0, got {self.tau}")
 
     def exhausted(self, trace: Trace) -> bool:
         return trace.total_cost >= self.tau

@@ -1,6 +1,7 @@
 """Acquisition family tests: EI math, dominance, fronts, selection rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -666,10 +667,13 @@ class TestKindCodecs:
         [
             "entropy", "alpha:abc", "cei:x", "ei-cool:x",
             "ei:0.5", "eipu:2", "ei-cool:100:10:5",
+            "alpha:nan", "alpha:inf", "alpha:-inf", "cei:nan",
+            "ei-cool:nan", "ei-cool:inf", "ei-cool:0", "ei-cool:100:nan",
+            "ei-cool:100:-1",
         ],
     )
     def test_parse_rejects_garbage(self, text):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(repr(text))):
             parse_kind(text)
 
     def test_ids_unique(self):
@@ -682,3 +686,19 @@ class TestKindCodecs:
             EIAlpha(-0.5)
         with pytest.raises(ConfigError):
             CEI(1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected_when_built(self, bad):
+        with pytest.raises(ConfigError, match="alpha"):
+            EIAlpha(bad)
+        with pytest.raises(ConfigError, match="total_budget"):
+            EICool(total_budget=bad)
+        with pytest.raises(ConfigError, match="init_budget"):
+            EICool(total_budget=100.0, init_budget=bad)
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0])
+    def test_non_positive_ei_cool_budgets_rejected_when_built(self, bad):
+        with pytest.raises(ConfigError, match="total_budget"):
+            EICool(total_budget=bad)
+        with pytest.raises(ConfigError, match="init_budget"):
+            EICool(init_budget=bad)

@@ -313,6 +313,9 @@ class TestCommands:
             (["run", "--problem", "nope"], "nope", "ConfigError"),
             (["run", "--acq", "alpha:abc"], "abc", "ConfigError"),
             (["run", "--acq", "ei:0.5"], "ei:0.5", "ConfigError"),
+            (["run", "--acq", "alpha:nan"], "alpha:nan", "ConfigError"),
+            (["run", "--acq", "alpha:inf"], "alpha:inf", "ConfigError"),
+            (["run", "--acq", "ei-cool:nan"], "ei-cool:nan", "ConfigError"),
             (["pareto-trace", "--acq", "cei:zz"], "zz", "ConfigError"),
             (["biopt", "--alphas", "0.1,q1"], "q1", "ConfigError"),
             (["biopt", "--lambdas", "0.5,q2"], "q2", "ConfigError"),
@@ -343,7 +346,8 @@ class TestCommands:
             (["rank", "--runs", "{tmp}"], "{tmp}/gone.jsonl", "FileNotFoundError"),
         ],
         ids=[
-            "unknown-problem", "acq-alpha", "acq-ei-extra", "acq-cei", "alphas", "lambdas",
+            "unknown-problem", "acq-alpha", "acq-ei-extra", "acq-alpha-nan",
+            "acq-alpha-inf", "acq-ei-cool-nan", "acq-cei", "alphas", "lambdas",
             "time-alloc-multiples", "rank-multiples", "train-sizes",
             "missing-table", "missing-space-file", "missing-cost-data",
             "missing-trace",
@@ -363,6 +367,37 @@ class TestCommands:
         assert record["error"] == error
         assert repr(bad.format(tmp=tmp_path)) in record["message"]
 
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--budget", "inf"], "cost budget must be finite and > 0, got inf"),
+            (["--budget", "nan"], "cost budget must be finite and > 0, got nan"),
+            (["--acq", "alpha:nan"], "alpha must be finite"),
+            (["--acq", "ei-cool:nan"], "total_budget must be finite"),
+        ],
+        ids=["budget-inf", "budget-nan", "acq-alpha-nan", "acq-ei-cool-nan"],
+    )
+    def test_non_finite_run_value_fails_before_evaluating(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        calls = []
+
+        def counting_problem(*args, **kwargs):
+            problem = build_problem(*args, **kwargs)
+
+            def evaluate(u):
+                calls.append(u)
+                return problem.evaluate(u)
+
+            return dataclasses.replace(problem, evaluate=evaluate)
+
+        monkeypatch.setattr(cli, "build_problem", counting_problem)
+        assert main(["run", *argv, "--out", str(tmp_path)]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert message in record["message"]
+        assert calls == []
 
     def test_ei_cool_without_a_cost_budget_fails_before_evaluating(
         self, tmp_path, capsys, monkeypatch

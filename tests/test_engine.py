@@ -80,6 +80,11 @@ class TestRunConfigChecks:
             run(problem, quick_config(**{field: value}))
         assert calls == []
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
+    def test_cost_budget_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ConfigError, match="cost budget"):
+            SimulatedCost(tau)
+
 
 class TestBudgets:
     def test_iteration_budget_equal_to_init_design(self):
