@@ -375,6 +375,16 @@ def _random_start(d: int, rng: np.random.Generator) -> np.ndarray:
     return theta
 
 
+def _stale(warm_start: GPModel, init_mll: float, fitted_mll: float, n: int) -> bool:
+    """Whether a fit from ``warm_start``'s parameters, which took the MLL from
+    ``init_mll`` to ``fitted_mll`` on ``n`` points, shows them to be stale."""
+    previous = log_marginal_likelihood(warm_start) / warm_start.n_train
+    return (
+        fitted_mll - init_mll > STALE_GAIN_PER_POINT * n
+        or fitted_mll / n < previous - STALE_DROP_PER_POINT
+    )
+
+
 def gp_fit(
     X: np.ndarray,
     y: np.ndarray,
@@ -429,8 +439,11 @@ def gp_fit(
         value = seen.get(theta.tobytes())
         return -(neg_mll(theta)[0] if value is None else value)
 
-    first = warm_start.params.to_theta() if warm_start is not None else _default_start(d)
-    random_starts = [_random_start(d, rng) for _ in range(max(0, restarts - 1))]
+    starts = [
+        warm_start.params.to_theta() if warm_start is not None else _default_start(d)
+    ]
+    for _ in range(max(0, restarts - 1)):
+        starts.append(_random_start(d, rng))
 
     bounds = (
         [LOG_SIGNAL_BOUNDS]
@@ -442,9 +455,7 @@ def gp_fit(
 
     evaluated: list[tuple[float, np.ndarray]] = []
     init_mlls: list[float] = []
-
-    def run_start(theta0: np.ndarray) -> float:
-        """L-BFGS-B from ``theta0``; returns the better of its two ends' MLLs."""
+    for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
         result = minimize(
             neg_mll,
@@ -457,17 +468,10 @@ def gp_fit(
         init_mlls.append(mll_at(theta0))
         evaluated.append((init_mlls[-1], theta0))
         evaluated.append((mll_at(result.x), result.x))
-        return max(init_mlls[-1], evaluated[-1][0])
-
-    fitted = run_start(first)
-    if warm_start is None or (
-        fitted - init_mlls[0] > STALE_GAIN_PER_POINT * n
-        or fitted / n
-        < log_marginal_likelihood(warm_start) / warm_start.n_train
-        - STALE_DROP_PER_POINT
-    ):
-        for theta0 in random_starts:
-            run_start(theta0)
+        if warm_start is not None and len(init_mlls) == 1:
+            fitted = max(init_mlls[0], evaluated[1][0])
+            if not _stale(warm_start, init_mlls[0], fitted, n):
+                break
 
     best_mll, best_theta = max(evaluated, key=lambda item: item[0])
     if not np.isfinite(best_mll):

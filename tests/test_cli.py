@@ -28,6 +28,24 @@ from paretobo.engine import Trace, IterationRecord
 from paretobo.errors import ConfigError, HarnessError
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The points the problems that ``cli.build_problem`` builds evaluate."""
+    calls = []
+
+    def counting_problem(*args, **kwargs):
+        problem = build_problem(*args, **kwargs)
+
+        def evaluate(u):
+            calls.append(u)
+            return problem.evaluate(u)
+
+        return dataclasses.replace(problem, evaluate=evaluate)
+
+    monkeypatch.setattr(cli, "build_problem", counting_problem)
+    return calls
+
+
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
@@ -379,47 +397,23 @@ class TestCommands:
         ids=["budget-inf", "budget-nan", "acq-alpha-nan", "acq-ei-cool-nan"],
     )
     def test_non_finite_run_value_fails_before_evaluating(
-        self, tmp_path, capsys, monkeypatch, argv, message
+        self, tmp_path, capsys, evaluations, argv, message
     ):
-        calls = []
-
-        def counting_problem(*args, **kwargs):
-            problem = build_problem(*args, **kwargs)
-
-            def evaluate(u):
-                calls.append(u)
-                return problem.evaluate(u)
-
-            return dataclasses.replace(problem, evaluate=evaluate)
-
-        monkeypatch.setattr(cli, "build_problem", counting_problem)
         assert main(["run", *argv, "--out", str(tmp_path)]) == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert message in record["message"]
-        assert calls == []
+        assert evaluations == []
 
     def test_ei_cool_without_a_cost_budget_fails_before_evaluating(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, evaluations
     ):
-        calls = []
-
-        def counting_problem(*args, **kwargs):
-            problem = build_problem(*args, **kwargs)
-
-            def evaluate(u):
-                calls.append(u)
-                return problem.evaluate(u)
-
-            return dataclasses.replace(problem, evaluate=evaluate)
-
-        monkeypatch.setattr(cli, "build_problem", counting_problem)
         argv = ["run", "--acq", "ei-cool", "--iters", "8", "--out", str(tmp_path)]
         assert main(argv) == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError"
         assert "total cost budget" in record["message"]
-        assert calls == []
+        assert evaluations == []
 
 
 class TestMalformedTraces:

@@ -15,6 +15,8 @@ from paretobo.surrogate import (
     LOG_NOISE_BOUNDS,
     LOG_SIGNAL_BOUNDS,
     MEAN_BOUNDS,
+    STALE_DROP_PER_POINT,
+    STALE_GAIN_PER_POINT,
     KernelParams,
     _MLLWorkspace,
     _cross_kernel,
@@ -127,9 +129,8 @@ class TestWarmStartRestarts:
     """A warm-started fit runs its random starts only when the warm start is stale."""
 
     @staticmethod
-    def data(n=20, seed=21):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(size=(n, 3))
+    def data():
+        X = np.random.default_rng(21).uniform(size=(20, 3))
         return X, np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
 
     def test_warm_start_at_the_optimum_runs_one_start(self):
@@ -143,7 +144,7 @@ class TestWarmStartRestarts:
 
     def test_stale_warm_start_runs_every_start(self):
         X, y = self.data()
-        # Far from the optimum: L-BFGS-B gains far more than 0.01 nats per point.
+        # Far from the optimum: L-BFGS-B gains far more than the stale gain.
         stale = build_model(X, y, KernelParams(50.0, np.full(3, 5.0), 0.5, 1.0))
         model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=stale)
         assert model.fit_info["restarts"] == 3
@@ -160,9 +161,9 @@ class TestWarmStartRestarts:
         warm = build_model(X, X[:, 0], params)
         alone = gp_fit(X, y, restarts=1, warm_start=warm)
         gain = alone.fit_info["mll"] - alone.fit_info["init_mlls"][0]
-        assert gain < 0.01 * len(y)
+        assert gain < STALE_GAIN_PER_POINT * len(y)
         drop = log_marginal_likelihood(warm) / 20 - alone.fit_info["mll"] / 20
-        assert drop > 0.02
+        assert drop > STALE_DROP_PER_POINT
         model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=warm)
         assert model.fit_info["restarts"] == 3
         assert model.fit_info["mll"] > alone.fit_info["mll"]  # a restart did better
