@@ -168,7 +168,8 @@ def unit_matrix(space: SearchSpace, samples: Sequence[CostSample]) -> np.ndarray
 # Model families, fitted on unit coordinates U and log costs
 # ---------------------------------------------------------------------------
 
-# Hyperparameter restarts of every cost-model GP fit.
+# Hyperparameter starts of every cost-model GP fit; a warm-started fit runs
+# its random ones only when the warm start is stale (gp_fit).
 GP_RESTARTS = 3
 
 

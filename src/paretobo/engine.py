@@ -60,7 +60,8 @@ class SimulatedCost:
 
 Budget = Iterations | SimulatedCost
 
-# Hyperparameter restarts of the objective GP fit in every iteration.
+# Hyperparameter starts of the objective GP fit in every iteration; after the
+# first fit, the random one runs only when the warm start is stale (gp_fit).
 GP_RESTARTS = 2
 
 
