@@ -8,7 +8,8 @@ Hyperparameters are obtained by multi-start bounded quasi-Newton (L-BFGS-B)
 maximization of the log marginal likelihood, parameterized as
 ``theta = [log signal_variance, log lengthscale_1..d, log noise_variance,
 mean_constant]`` with analytic gradients. A fit warm-started from a previous
-model runs its random starts only when that warm start has gone stale.
+model runs its random starts only when that warm start has gone stale, and
+stops L-BFGS-B from the warm start at a looser tolerance than the others.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.optimize import minimize
 
 from .errors import DataError, ModelError, NumericError
@@ -33,12 +34,24 @@ MEAN_BOUNDS = (-5.0, 5.0)
 # L-BFGS-B iteration cap per start of a hyperparameter fit.
 LBFGS_MAXITER = 60
 
+# Relative MLL improvement per iteration below which L-BFGS-B from a warm
+# start stops (scipy's ``ftol``). A warm start is usually near its optimum,
+# where scipy's default of 2.2e-9 spends many evaluations on gains far below
+# a nat; the default start and the random starts keep that default.
+WARM_LBFGS_FTOL = 1e-6
+
 # A warm start is stale, so a fit runs its random starts too, when L-BFGS-B
 # from it gains more than STALE_GAIN_PER_POINT nats of MLL per training
-# point, or ends more than STALE_DROP_PER_POINT nats per point below the
-# warm-start model's own MLL per point.
+# point, ends more than STALE_DROP_PER_POINT nats per point below the
+# warm-start model's own MLL per point, or ends less than
+# STALE_GAIN_PER_POINT per point above WHITE_NOISE_MLL_PER_POINT.
 STALE_GAIN_PER_POINT = 0.01
 STALE_DROP_PER_POINT = 0.02
+
+# MLL per point of standardized targets under independent unit-variance
+# noise: the best fit of a model that sees no correlation, such as one with
+# every lengthscale at its lower bound. L-BFGS-B from there barely moves.
+WHITE_NOISE_MLL_PER_POINT = -0.5 * (1.0 + math.log(2.0 * math.pi))
 
 # Diagonal jitter escalation on Cholesky failure.
 JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -47,11 +60,14 @@ JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 # float64, so a block and its two scratch arrays fit in a 2 MiB L2 cache.
 KERNEL_BLOCK_CELLS = 16384
 
-# LAPACK Cholesky factorization, Cholesky solve and triangular solve, looked
-# up once.
-_POTRF, _POTRS, _TRTRS = get_lapack_funcs(
-    ("potrf", "potrs", "trtrs"), dtype=np.float64
+# LAPACK Cholesky factorization, Cholesky solve, triangular inverse and
+# triangular solve, and the BLAS product A^T A, looked up once. The MLL forms
+# K^-1 = L^-T L^-1 by trtri and syrk rather than potri, whose L^T L step
+# (OpenBLAS's lauum) gives other bits under more than one BLAS thread.
+_POTRF, _POTRS, _TRTRI, _TRTRS = get_lapack_funcs(
+    ("potrf", "potrs", "trtri", "trtrs"), dtype=np.float64
 )
+(_SYRK,) = get_blas_funcs(("syrk",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -272,18 +288,18 @@ def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
 
 
 class _MLLWorkspace:
-    """Scratch arrays for the MLL evaluations of one fit on n points in d dims.
+    """Scratch arrays for the MLL evaluations of one fit on n points.
 
     One workspace serves every evaluation of a ``gp_fit`` call; each
     evaluation overwrites all of it, so no value carries over between them.
+    ``upper`` marks the strict upper triangle.
     """
 
-    def __init__(self, n: int, d: int):
-        self.eye = np.eye(n)
+    def __init__(self, n: int):
+        self.upper = np.triu(np.ones((n, n), dtype=bool), 1)
         self.s, self.exp_neg_s, self.one_plus_s, self.kf, self.base = np.empty(
             (5, n, n)
         )
-        self.block = np.empty((d, n, n))
 
 
 def _mll_value_and_grad(
@@ -298,23 +314,24 @@ def _mll_value_and_grad(
     ``sq_diffs`` is the precomputed (d, n, n) tensor of per-dimension squared
     coordinate differences, and ``work`` the scratch arrays (built here when
     not given). Gradients use the standard trace identity
-    dMLL/dp = 0.5 tr((aa^T - K^{-1}) dK/dp) with a = K^{-1}(y - m).
-    Every step runs in place, in the order of the plain expressions in the
-    comments, so the results are bit for bit those of the expressions.
+    dMLL/dp = 0.5 tr((aa^T - K^{-1}) dK/dp) with a = K^{-1}(y - m), and
+    K^{-1} = L^{-T} L^{-1} comes from the Cholesky factor L. Every step runs
+    in place, in the order of the plain expressions in the comments, so the
+    results are bit for bit those of the expressions.
     """
     n, d = X.shape
     if work is None:
-        work = _MLLWorkspace(n, d)
+        work = _MLLWorkspace(n)
     sv = math.exp(theta[0])
     ls = np.exp(theta[1 : 1 + d])
     nv = math.exp(theta[1 + d])
     m = theta[2 + d]
 
-    # s = sqrt(5) * sqrt(max(sum_i sq_diffs_i / ls_i^2, 0))
+    # s = sqrt(5) * sqrt(sum_i sq_diffs_i / ls_i^2); the sum of nonnegative
+    # terms is nonnegative.
     inv_ls_sq = 1.0 / (ls * ls)
     s = work.s
     np.matmul(inv_ls_sq, sq_diffs.reshape(d, -1), out=s.reshape(-1))
-    np.maximum(s, 0.0, out=s)
     np.sqrt(s, out=s)
     s *= SQRT5
     # Kf = sv * (1 + s + s*s/3) * exp(-s)
@@ -337,20 +354,24 @@ def _mll_value_and_grad(
     log_det = 2.0 * np.sum(np.log(np.diag(chol)))
     mll = -0.5 * float(resid @ a) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
-    # A = outer(a, a) - K^-1, in the solve's own output array.
-    A = _solve(chol, work.eye)
-    np.subtract(np.multiply.outer(a, a, out=work.base), A, out=A)
+    # L^-1 over the factor, with the upper triangle (K's entries) zeroed;
+    # syrk sets the lower triangle of L^-T L^-1, mirrored upward.
+    L_inv, _ = _TRTRI(chol, lower=1, overwrite_c=1)
+    np.copyto(L_inv, 0.0, where=work.upper)
+    K_inv = _SYRK(1.0, L_inv, trans=1, lower=1)
+    np.copyto(K_inv, K_inv.T, where=work.upper)
+    # A = outer(a, a) - K^-1, in the inverse's own array.
+    A = np.subtract(np.multiply.outer(a, a, out=work.base), K_inv, out=K_inv)
 
     grad = np.empty_like(theta)
-    grad[0] = 0.5 * np.sum(np.multiply(A, Kf, out=work.base))
-    # dK/dlog(ls_i) = sv * (5/3) (1 + s) exp(-s) * sq_diffs_i / ls_i^2, and
-    # grad_i = 0.5 * sum(A * dK_i), for every i at once.
-    base = np.multiply(one_plus_s, sv * (5.0 / 3.0), out=work.base)
-    base *= exp_neg_s
-    P = np.multiply(sq_diffs, inv_ls_sq[:, None, None], out=work.block)
-    P *= base
-    P *= A
-    grad[1 : 1 + d] = 0.5 * P.reshape(d, -1).sum(axis=1)
+    grad[0] = 0.5 * np.vdot(A, Kf)
+    # dK/dlog(ls_i) = sv * (5/3) (1 + s) exp(-s) * sq_diffs_i / ls_i^2, so with
+    # W = A * sv * (5/3) (1 + s) exp(-s),
+    # grad_i = 0.5 * inv_ls_sq_i * sum(sq_diffs_i * W), for every i at once.
+    W = np.multiply(one_plus_s, sv * (5.0 / 3.0), out=work.base)
+    W *= exp_neg_s
+    W *= A
+    grad[1 : 1 + d] = 0.5 * (inv_ls_sq * (sq_diffs.reshape(d, -1) @ W.reshape(-1)))
     grad[1 + d] = 0.5 * nv * np.trace(A)
     grad[2 + d] = float(np.sum(a))
     return mll, grad
@@ -382,6 +403,7 @@ def _stale(warm_start: GPModel, init_mll: float, fitted_mll: float, n: int) -> b
     return (
         fitted_mll - init_mll > STALE_GAIN_PER_POINT * n
         or fitted_mll / n < previous - STALE_DROP_PER_POINT
+        or fitted_mll / n < WHITE_NOISE_MLL_PER_POINT + STALE_GAIN_PER_POINT
     )
 
 
@@ -398,11 +420,14 @@ def gp_fit(
     default parameters, or those of ``warm_start``, a previous fit such as
     the last iteration's in a sequential loop. The other ``restarts - 1``
     starts are random and are drawn from ``rng`` whether they run or not.
+    L-BFGS-B from a warm start stops at a relative MLL gain per iteration of
+    ``WARM_LBFGS_FTOL``; every other start runs at scipy's default tolerance.
 
     Without a warm start every start runs. With one, the random starts run
     only when it is stale: L-BFGS-B from it raised the MLL by more than
     ``STALE_GAIN_PER_POINT * n`` nats, or its fitted MLL per point is more
-    than ``STALE_DROP_PER_POINT`` below ``warm_start``'s own.
+    than ``STALE_DROP_PER_POINT`` below ``warm_start``'s own, or less than
+    ``STALE_GAIN_PER_POINT`` above ``WHITE_NOISE_MLL_PER_POINT``.
 
     The returned model's MLL is at least the initial MLL of every start that
     ran. Its ``fit_info`` holds that MLL, the initial MLL of each start that
@@ -416,7 +441,7 @@ def gp_fit(
 
     y_std, t_mean, t_std, degenerate = _standardize(y)
     sq_diffs = (X.T[:, :, None] - X.T[:, None, :]) ** 2  # (d, n, n)
-    work = _MLLWorkspace(n, d)
+    work = _MLLWorkspace(n)
 
     # Every value computed, keyed by the point's bytes, so that start and end
     # points are not evaluated again. (``result.fun`` is not always the value
@@ -457,13 +482,16 @@ def gp_fit(
     init_mlls: list[float] = []
     for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
+        options = {"maxiter": LBFGS_MAXITER}
+        if warm_start is not None and not init_mlls:
+            options["ftol"] = WARM_LBFGS_FTOL
         result = minimize(
             neg_mll,
             theta0,
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": LBFGS_MAXITER},
+            options=options,
         )
         init_mlls.append(mll_at(theta0))
         evaluated.append((init_mlls[-1], theta0))

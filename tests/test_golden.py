@@ -38,21 +38,21 @@ CHOICE_COLUMNS = (
 
 # Criterion 12's configuration: branin/expensive, CEI(0.5), 15 evaluations.
 CEI_BRANIN_SHA = (
-    "d51627b5c4efd987bb452336930b5970334f70e7888465e3eb82c6e6793a1057"
+    "246119c65dfc04eb82e9f3a458e9f7f5e65062a3ce67cd183e7295a0e6f3d573"
 )
 CEI_BRANIN_CHOICE_SHA = (
     "0ef2e6b1a2eaea9a3eca3c43d000dcaba1ea7e4f50cbb89147b26c2d07c968f8"
 )
 # hartmann3/expensive, EIpu, 12 evaluations, 2048 candidates, persistence on.
 EIPU_HARTMANN3_SHA = (
-    "a752860492ef6b8009f55494ef3e46c08c785a02582e54349d19d9dfd52b9f06"
+    "b964f791eac3adf16c37e496ee5a8f177ce0b00b356b9b9fd443fe7bc6391883"
 )
 EIPU_HARTMANN3_CHOICE_SHA = (
     "02b92ba51f1009c1b2084cd0e9bf08168f55c615e0abb349cba6836f98399f52"
 )
 # 7-d tabular replay on the XGBoost space with the gplv3 cost model.
 REPLAY7D_SHA = (
-    "274cd6a1cbe79942b3ad7c1c32172e63d426e8b123e258784391257cd7b5a5f1"
+    "3757b8aa0c558607136c1a0af0b2d41bba0ced18ba79a10d0c374f346289d025"
 )
 REPLAY7D_CHOICE_SHA = (
     "0e18d7f412e26793e9149bfd2809d601bc031e8f139c5cfe0d5438f645cdee09"
@@ -60,18 +60,18 @@ REPLAY7D_CHOICE_SHA = (
 # hartmann3/explinear, EI-cool resolved from an 80.0 cost budget: 14 evaluations,
 # the last one over budget.
 EICOOL_COST_BUDGET_SHA = (
-    "0dd474b8873c19de31fc1248bcf571e6e881c5cba395e3c1fd3fcf03bef12181"
+    "710a986cf1b2c825ef9209c73823f6969d99b4cf1e79cb7683fd4696e144dcd5"
 )
 EICOOL_COST_BUDGET_CHOICE_SHA = (
     "1d8724433cce736e1e768a1154d34a4b68115281d6af54cb6b50e860b8dd4fb1"
 )
 # hartmann3/cheap, EIAlpha(0.3), a 60.0 cost budget and a black box that fails
-# in every way the loop handles (see `_failing`): 17 evaluations, 11 failed.
+# in every way the loop handles (see `_failing`): 20 evaluations, 13 failed.
 FAILING_BLACK_BOX_SHA = (
-    "6d1c84c274b0c41133cdddf7e4459473c5d89ad4b19f9318cf3c0c8fbcda3fd1"
+    "1158a9b4cfe2dddd32297599c120269a9cf305af96cb9c7008a5c41f3eb84453"
 )
 FAILING_BLACK_BOX_CHOICE_SHA = (
-    "78d17ed6116cceddc7cc91af0b025c8a13d9822c2d3a0885a20844156f6458d4"
+    "2136cbf84cb142c7fd15ca2d4804507d1dad3ac36abf5173cc27d9ab7f16c7ea"
 )
 # `paretobo pareto-trace`: the trace and its four CSVs, in PARETO_TRACE_FILES order.
 PARETO_TRACE_FILES = (
@@ -82,15 +82,15 @@ PARETO_TRACE_FILES = (
     "implied_alpha.csv",
 )
 PARETO_TRACE_SHA = (
-    "cd5f3b4ef344d5f62d62678ddc602f8a83527b0ceaa45c6f85ffb872ba9f9f08"
+    "61a803b235680b5fa15406625c960a7418a3fdd1c9fa1b2d4c6e0c15fdd5fdf1"
 )
 PARETO_TRACE_CHOICE_SHA = (
-    "464f03bc49f3da04a91529566d1c0675616f9cff7c0f784f15d4e29fe4c8577f"
+    "6985348137650331e76f736aabf4c145e809d9119ee45f851c64b9d35607f885"
 )
 # `paretobo cost-eval --data`: both CSVs, then stdout.
 COST_EVAL_FILES = ("cost_eval.csv", "transfer_eval.csv")
 COST_EVAL_DATA_SHA = (
-    "4d28479417a10fc2b87b946ee83d71042024ead2d3de75bdd88265291054ffd4"
+    "b79d6b45c460dce49c1c062198f72e5f61b5135405b0e714172543dc81c08724"
 )
 
 
@@ -228,8 +228,8 @@ def test_failing_black_box_digest(tmp_path):
         candidate_count=128,
     )
     trace = run(_failing(build_problem("hartmann3/cheap", 0.0, seed=8)), cfg)
-    assert len(trace) == 17
-    assert sum(r.failed for r in trace.records) == 11
+    assert len(trace) == 20
+    assert sum(r.failed for r in trace.records) == 13
     # Calls 6 and 7 are fallback draws (no valid row yet); call 8 is the first valid.
     first_valid = next(r for r in trace.records if not r.failed)
     assert first_valid.iteration == 8 and first_valid.max_ei is None

@@ -1,12 +1,18 @@
 """GP regression tests against direct linear-algebra oracles."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dtrtri
 
 import paretobo.surrogate as surrogate_mod
+from paretobo.cli import BLAS_THREAD_VARS
 from paretobo.errors import DataError, NumericError
 from paretobo.surrogate import (
     JITTERS,
@@ -17,6 +23,7 @@ from paretobo.surrogate import (
     MEAN_BOUNDS,
     STALE_DROP_PER_POINT,
     STALE_GAIN_PER_POINT,
+    WHITE_NOISE_MLL_PER_POINT,
     KernelParams,
     _MLLWorkspace,
     _cross_kernel,
@@ -184,6 +191,33 @@ class TestWarmStartRestarts:
         assert states == [drawn.bit_generator.state] * 3
 
 
+class TestWhiteNoiseWarmStart:
+    def test_standardized_targets_under_unit_noise(self):
+        X = np.random.default_rng(3).uniform(size=(9, 2))
+        y = np.random.default_rng(4).normal(size=9)
+        # Lengthscales far below the points' spacing: K is (sv + nv) I.
+        model = build_model(X, y, KernelParams(0.25, np.full(2, 1e-6), 0.75))
+        assert log_marginal_likelihood(model) / 9 == pytest.approx(
+            WHITE_NOISE_MLL_PER_POINT, abs=1e-12
+        )
+
+    def test_warm_start_at_white_noise_runs_every_start(self):
+        X = np.random.default_rng(21).uniform(size=(20, 3))
+        y = np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2]
+        # Every lengthscale at its lower bound: L-BFGS-B from here neither
+        # gains nor drops, yet the fit explains nothing.
+        lower = math.exp(LOG_LENGTHSCALE_BOUNDS[0])
+        warm = build_model(X, y, KernelParams(0.01, np.full(3, lower), 0.99))
+        alone = gp_fit(X, y, restarts=1, warm_start=warm)
+        mll = alone.fit_info["mll"]
+        assert mll - alone.fit_info["init_mlls"][0] < STALE_GAIN_PER_POINT * 20
+        assert mll / 20 >= log_marginal_likelihood(warm) / 20 - STALE_DROP_PER_POINT
+        assert mll / 20 < WHITE_NOISE_MLL_PER_POINT + STALE_GAIN_PER_POINT
+        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=warm)
+        assert model.fit_info["restarts"] == 3
+        assert model.fit_info["mll"] / 20 > WHITE_NOISE_MLL_PER_POINT + 1.0
+
+
 class TestPosterior:
     def test_interpolates_training_points_at_low_noise(self):
         rng = np.random.default_rng(5)
@@ -328,7 +362,10 @@ def reference_mll_value_and_grad(theta, X, y_std, sq_diffs):
     """The MLL and gradient through scipy's checked Cholesky wrappers.
 
     Same arithmetic, in the same order, as the library's direct LAPACK path,
-    which must reproduce it bit for bit.
+    which must reproduce it bit for bit: ``K^-1`` as ``L^-T L^-1`` from
+    ``dtrtri`` and ``dsyrk`` on ``cho_factor``'s factor ``L``, with its lower
+    triangle mirrored, the signal gradient as one ``vdot`` and the
+    lengthscale gradients as one matrix-vector product.
     """
     n, d = X.shape
     sv = math.exp(theta[0])
@@ -338,7 +375,7 @@ def reference_mll_value_and_grad(theta, X, y_std, sq_diffs):
 
     inv_ls_sq = 1.0 / (ls * ls)
     scaled_sq = np.tensordot(inv_ls_sq, sq_diffs, axes=(0, 0))
-    s = math.sqrt(5.0) * np.sqrt(np.maximum(scaled_sq, 0.0))
+    s = math.sqrt(5.0) * np.sqrt(scaled_sq)
     exp_term = np.exp(-s)
     Kf = sv * (1.0 + s + s * s / 3.0) * exp_term
     K = Kf + nv * np.eye(n)
@@ -356,12 +393,15 @@ def reference_mll_value_and_grad(theta, X, y_std, sq_diffs):
     log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
     mll = -0.5 * float(resid @ a) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
-    A = np.outer(a, a) - cho_solve(chol, np.eye(n))
+    L_inv, info = dtrtri(chol[0], lower=1)
+    assert info == 0
+    lower_inv = dsyrk(1.0, np.tril(L_inv), trans=1, lower=1)
+    K_inv = np.tril(lower_inv) + np.tril(lower_inv, -1).T
+    A = np.outer(a, a) - K_inv
     grad = np.empty_like(theta)
-    grad[0] = 0.5 * np.sum(A * Kf)
-    base = sv * (5.0 / 3.0) * (1.0 + s) * exp_term
-    for i in range(d):
-        grad[1 + i] = 0.5 * np.sum(A * (base * (sq_diffs[i] * inv_ls_sq[i])))
+    grad[0] = 0.5 * np.vdot(A, Kf)
+    W = sv * (5.0 / 3.0) * (1.0 + s) * exp_term * A
+    grad[1 : 1 + d] = 0.5 * (inv_ls_sq * (sq_diffs.reshape(d, -1) @ W.reshape(-1)))
     grad[1 + d] = 0.5 * nv * np.trace(A)
     grad[2 + d] = float(np.sum(a))
     return mll, grad, jitter
@@ -402,6 +442,32 @@ class TestLapackPathMatchesReference:
         assert grad.tobytes() == ref_grad.tobytes()
         params = KernelParams.from_theta(theta, 2)
         assert build_model(X, rng.normal(size=18), params).jitter == jitter
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS's threaded lauum, the L^T L step of potri, changes bits
+        # under two threads even at n = 5; trtri and syrk do not.
+        code = (
+            "import numpy as np\n"
+            "from paretobo.surrogate import _mll_value_and_grad, _random_start\n"
+            "rng = np.random.default_rng(12)\n"
+            "for n, d in ((5, 2), (20, 3), (55, 7)):\n"
+            "    X = rng.uniform(size=(n, d))\n"
+            "    y = rng.normal(size=n)\n"
+            "    sq = (X.T[:, :, None] - X.T[:, None, :]) ** 2\n"
+            "    mll, grad = _mll_value_and_grad(_random_start(d, rng), X, y, sq)\n"
+            "    print(mll.hex(), grad.tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+            env.update({var: threads for var in BLAS_THREAD_VARS})
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_theta_raises(self, bad):
@@ -503,7 +569,7 @@ class TestWorkspace:
         X = rng.uniform(size=(n, d))
         y_std = _standardize(rng.normal(size=n))[0]
         sq = _sq_diffs(X)
-        work = _MLLWorkspace(n, d)
+        work = _MLLWorkspace(n)
         for _ in range(5):
             theta = _random_start(d, rng)
             mll, grad = _mll_value_and_grad(theta, X, y_std, sq, work)
