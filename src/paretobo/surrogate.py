@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from scipy.optimize import minimize
 
-from .errors import DataError, ModelError, NumericError
+from .errors import ConfigError, DataError, ModelError, NumericError
 
 SQRT5 = math.sqrt(5.0)
 
@@ -419,9 +419,10 @@ def gp_fit(
     ``X`` is (n, d), or (n,) for one dimension. The first start is the
     default parameters, or those of ``warm_start``, a previous fit such as
     the last iteration's in a sequential loop. The other ``restarts - 1``
-    starts are random and are drawn from ``rng`` whether they run or not.
-    L-BFGS-B from a warm start stops at a relative MLL gain per iteration of
-    ``WARM_LBFGS_FTOL``; every other start runs at scipy's default tolerance.
+    starts are random and are drawn from ``rng`` whether they run or not;
+    ``restarts`` below 1 is a ConfigError. L-BFGS-B from a warm start stops
+    at a relative MLL gain per iteration of ``WARM_LBFGS_FTOL``; every other
+    start runs at scipy's default tolerance.
 
     Without a warm start every start runs. With one, the random starts run
     only when it is stale: L-BFGS-B from it raised the MLL by more than
@@ -431,8 +432,11 @@ def gp_fit(
 
     The returned model's MLL is at least the initial MLL of every start that
     ran. Its ``fit_info`` holds that MLL, the initial MLL of each start that
-    ran (``init_mlls``) and their count (``restarts``).
+    ran (``init_mlls``), their count (``restarts``) and each one's number of
+    MLL evaluations (``nfev``).
     """
+    if restarts < 1:
+        raise ConfigError(f"restarts must be at least 1, got {restarts}")
     X = np.asarray(X, dtype=float)
     X, y = _training_data(X[:, None] if X.ndim == 1 else X, y)
     if rng is None:
@@ -467,7 +471,7 @@ def gp_fit(
     starts = [
         warm_start.params.to_theta() if warm_start is not None else _default_start(d)
     ]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(restarts - 1):
         starts.append(_random_start(d, rng))
 
     bounds = (
@@ -480,6 +484,7 @@ def gp_fit(
 
     evaluated: list[tuple[float, np.ndarray]] = []
     init_mlls: list[float] = []
+    nfev: list[int] = []
     for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
         options = {"maxiter": LBFGS_MAXITER}
@@ -494,6 +499,7 @@ def gp_fit(
             options=options,
         )
         init_mlls.append(mll_at(theta0))
+        nfev.append(result.nfev)
         evaluated.append((init_mlls[-1], theta0))
         evaluated.append((mll_at(result.x), result.x))
         if warm_start is not None and len(init_mlls) == 1:
@@ -511,6 +517,7 @@ def gp_fit(
         "mll": best_mll,
         "init_mlls": init_mlls,
         "restarts": len(init_mlls),
+        "nfev": nfev,
     }
     return model
 

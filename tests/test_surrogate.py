@@ -13,7 +13,7 @@ from scipy.linalg.lapack import dtrtri
 
 import paretobo.surrogate as surrogate_mod
 from paretobo.cli import BLAS_THREAD_VARS
-from paretobo.errors import DataError, NumericError
+from paretobo.errors import ConfigError, DataError, NumericError
 from paretobo.surrogate import (
     JITTERS,
     KERNEL_BLOCK_CELLS,
@@ -23,6 +23,7 @@ from paretobo.surrogate import (
     MEAN_BOUNDS,
     STALE_DROP_PER_POINT,
     STALE_GAIN_PER_POINT,
+    WARM_LBFGS_FTOL,
     WHITE_NOISE_MLL_PER_POINT,
     KernelParams,
     _MLLWorkspace,
@@ -79,6 +80,21 @@ def direct_mll(model):
     )
 
 
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    """Each ``surrogate.minimize`` call's options and result, in call order."""
+    calls = []
+    real = surrogate_mod.minimize
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((kwargs["options"], result))
+        return result
+
+    monkeypatch.setattr(surrogate_mod, "minimize", spy)
+    return calls
+
+
 class TestFit:
     def test_single_point_interpolation(self):
         model = gp_fit(np.array([[0.3, 0.7]]), np.array([5.0]), restarts=2)
@@ -122,6 +138,20 @@ class TestFit:
             gp_fit(X, y, restarts=1)
         with pytest.raises(DataError, match="non-finite training inputs"):
             build_model(X, y, KernelParams(1.0, np.array([0.3, 0.3]), 1e-3))
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_rejects_fewer_than_one_start(self, restarts):
+        X = np.array([[0.1], [0.5], [0.9]])
+        with pytest.raises(ConfigError, match="restarts"):
+            gp_fit(X, np.array([1.0, 2.0, 0.5]), restarts=restarts)
+
+    def test_nfev_counts_each_start_s_evaluations(self, minimize_calls):
+        rng = np.random.default_rng(4)
+        X = rng.uniform(size=(12, 2))
+        model = gp_fit(X, np.sin(3 * X[:, 0]) + X[:, 1], restarts=3, rng=rng)
+        assert model.fit_info["restarts"] == len(minimize_calls) == 3
+        assert model.fit_info["nfev"] == [result.nfev for _, result in minimize_calls]
+        assert all(count > 0 for count in model.fit_info["nfev"])
 
     def test_accepts_one_dimensional_inputs(self):
         X = np.array([0.1, 0.4, 0.8])
@@ -216,6 +246,44 @@ class TestWhiteNoiseWarmStart:
         model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=warm)
         assert model.fit_info["restarts"] == 3
         assert model.fit_info["mll"] / 20 > WHITE_NOISE_MLL_PER_POINT + 1.0
+
+
+class TestWarmStartTolerance:
+    """Only L-BFGS-B from a warm start stops at ``WARM_LBFGS_FTOL``."""
+
+    # scipy's default L-BFGS-B ftol: factr 1e7 times machine epsilon.
+    SCIPY_FTOL = 1e7 * np.finfo(float).eps
+
+    @staticmethod
+    def data(n=20):
+        rng = np.random.default_rng(22)
+        X = rng.uniform(size=(n, 3))
+        return X, np.sin(3 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.05 * rng.normal(size=n)
+
+    def test_only_the_warm_start_gets_the_looser_tolerance(self, minimize_calls):
+        X, y = self.data()
+        gp_fit(X, y, restarts=3, rng=np.random.default_rng(1))
+        stale = build_model(X, y, KernelParams(50.0, np.full(3, 5.0), 0.5, 1.0))
+        model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=stale)
+        assert model.fit_info["restarts"] == 3
+        options = [opts for opts, _ in minimize_calls]
+        assert len(options) == 6
+        assert all("ftol" not in opts for opts in options[:3])  # the cold fit
+        assert options[3]["ftol"] == WARM_LBFGS_FTOL
+        assert all("ftol" not in opts for opts in options[4:])  # random starts
+
+    def test_warm_start_stops_sooner_and_close_to_a_full_tolerance_run(
+        self, monkeypatch
+    ):
+        # The last fit before one more point, as in a sequential loop.
+        X, y = self.data(30)
+        previous = gp_fit(X[:-1], y[:-1], restarts=3, rng=np.random.default_rng(1))
+        loose = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=previous)
+        monkeypatch.setattr(surrogate_mod, "WARM_LBFGS_FTOL", self.SCIPY_FTOL)
+        full = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=previous)
+        assert loose.fit_info["restarts"] == full.fit_info["restarts"] == 1
+        assert loose.fit_info["nfev"][0] < full.fit_info["nfev"][0]
+        assert abs(full.fit_info["mll"] - loose.fit_info["mll"]) < 1e-4 * len(y)
 
 
 class TestPosterior:
@@ -409,6 +477,89 @@ def reference_mll_value_and_grad(theta, X, y_std, sq_diffs):
 
 def _sq_diffs(X):
     return (X.T[:, :, None] - X.T[:, None, :]) ** 2
+
+
+def dense_mll_value_and_grad(theta, X, y_std):
+    """The MLL and gradient from ``np.linalg.inv`` and each dK/dtheta built whole.
+
+    Uses the jitter of the first diagonal that ``np.linalg.cholesky`` accepts,
+    as the library does.
+    """
+    n, d = X.shape
+    sv, nv, m = math.exp(theta[0]), math.exp(theta[1 + d]), theta[2 + d]
+    ls = np.exp(theta[1 : 1 + d])
+    sq = (X[:, None, :] - X[None, :, :]) ** 2  # (n, n, d)
+    r = np.sqrt(np.sum(sq / ls**2, axis=-1))
+    decay = np.exp(-math.sqrt(5.0) * r)
+    Kf = sv * (1.0 + math.sqrt(5.0) * r + 5.0 * r**2 / 3.0) * decay
+    for jitter in JITTERS:
+        K = Kf + (nv + jitter) * np.eye(n)
+        try:
+            np.linalg.cholesky(K)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    K_inv = np.linalg.inv(K)
+    resid = y_std - m
+    a = K_inv @ resid
+    mll = (
+        -0.5 * resid @ a
+        - 0.5 * np.linalg.slogdet(K)[1]
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    # dk/dlog(ls_i) = dk/dr * dr/dlog(ls_i), with dr/dlog(ls_i) = -sq_i / (ls_i^2 r).
+    dk_dr_over_r = -sv * (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * decay
+    dKs = (
+        [Kf]
+        + [-dk_dr_over_r * sq[:, :, i] / ls[i] ** 2 for i in range(d)]
+        + [nv * np.eye(n)]
+    )
+    grad = [0.5 * a @ dK @ a - 0.5 * np.trace(K_inv @ dK) for dK in dKs]
+    return mll, np.array(grad + [np.sum(a)])
+
+
+class TestDenseOracle:
+    """The MLL and gradient against a dense oracle, to 1e-9 relative.
+
+    The gradient's tolerance is relative to its largest component.
+    """
+
+    @staticmethod
+    def assert_close(theta, X, y_std):
+        mll, grad = _mll_value_and_grad(theta, X, y_std, _sq_diffs(X))
+        dense_mll, dense_grad = dense_mll_value_and_grad(theta, X, y_std)
+        assert mll == pytest.approx(dense_mll, rel=1e-9)
+        scale = np.max(np.abs(dense_grad))
+        np.testing.assert_allclose(grad, dense_grad, rtol=1e-9, atol=1e-9 * scale)
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(60):
+            n = int(rng.integers(1, 61))
+            d = int(rng.integers(1, 8))
+            X = rng.uniform(size=(n, d))
+            y_std = _standardize(rng.normal(size=n))[0]
+            self.assert_close(_random_start(d, rng), X, y_std)
+
+    def test_jitter_escalation(self):
+        # A repeated point with one target: K + jitter I stays well conditioned
+        # along the data, though K itself is singular.
+        rng = np.random.default_rng(7)
+        X = rng.uniform(size=(7, 3))
+        X = np.vstack([X, X[:1]])
+        y = rng.normal(size=8)
+        y[7] = y[0]
+        y_std = _standardize(y)[0]
+        sq = _sq_diffs(X)
+        # The smallest signal variance (near the optimizer's bound) whose
+        # factorization needs jitter.
+        for log_sv in np.linspace(math.log(1e-4), math.log(2e-4), 200):
+            theta = np.array([log_sv, *np.log([0.1] * 3), math.log(1e-30), 0.1])
+            if reference_mll_value_and_grad(theta, X, y_std, sq)[2] > 0:
+                break
+        else:
+            raise AssertionError("no signal variance needed jitter")
+        self.assert_close(theta, X, y_std)
 
 
 class TestLapackPathMatchesReference:
