@@ -255,11 +255,12 @@ def pareto_front(cands: CandidateSet) -> CandidateSet:
     return cands.subset(front_indices(cands.ei, cands.cost))
 
 
-def _argmax_with_tiebreak(scores: np.ndarray, costs: np.ndarray) -> int:
-    """Index of the best score; ties go to lower cost, then lower index."""
-    tied = np.flatnonzero(scores == scores.max())
-    tied = tied[costs[tied] == costs[tied].min()]
-    return int(tied[0])
+def _argmax_with_tiebreak(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Index of the best score along the last axis; ties go to lower cost,
+    then lower index (also when every tied cost is infinite)."""
+    tied = scores == scores.max(axis=-1, keepdims=True)
+    tied_costs = np.where(tied, costs, np.inf)
+    return np.argmax(tied & (tied_costs == tied_costs.min(axis=-1, keepdims=True)), axis=-1)
 
 
 def _effective_alpha(kind: AcquisitionKind, spent: float) -> float:
@@ -317,8 +318,7 @@ def select(kind: AcquisitionKind, cands: CandidateSet, spent: float = 0.0) -> Se
     if not len(cands):
         raise UsageError("select needs at least one candidate")
     scores = cands.ei / cands.cost ** _effective_alpha(kind, spent)
-    chosen_idx = _argmax_with_tiebreak(scores, cands.cost)
-    return _selection(cands, chosen_idx, None)
+    return _selection(cands, int(_argmax_with_tiebreak(scores, cands.cost)), None)
 
 
 def generate_candidates(
@@ -491,8 +491,9 @@ def kind_id(kind: AcquisitionKind) -> str:
 def implied_alpha(sel: SelectionResult) -> float | None:
     """Exponent that EIAlpha would have needed to pick the same candidate.
 
-    Scans a fixed grid (0 plus log-spaced values up to 8), finds the longest
-    contiguous run of grid values whose EIAlpha argmax (same tie-breaks)
+    Scores the whole grid (0 plus log-spaced values up to 8) at once, one
+    row per grid value, finds the first longest run of consecutive grid
+    values whose EIAlpha argmax (same tie-breaks as ``select``)
     matches the selection, and returns that run's midpoint. None when no
     grid value reproduces the choice.
 
@@ -505,24 +506,11 @@ def implied_alpha(sel: SelectionResult) -> float | None:
     eis, costs = sel.candidates.ei, sel.candidates.cost
     scanned = np.flatnonzero(np.isin(costs, sel.front.cost))
     eis, costs = eis[scanned], costs[scanned]
-    matches = np.zeros(len(IMPLIED_ALPHA_GRID), dtype=bool)
-    for g, alpha in enumerate(IMPLIED_ALPHA_GRID):
-        scores = eis / costs**alpha
-        matches[g] = scanned[_argmax_with_tiebreak(scores, costs)] == sel.chosen_index
-
-    best_len, best_start = 0, -1
-    run_len, run_start = 0, 0
-    for g, hit in enumerate(matches):
-        if hit:
-            if run_len == 0:
-                run_start = g
-            run_len += 1
-            if run_len > best_len:
-                best_len, best_start = run_len, run_start
-        else:
-            run_len = 0
-    if best_len == 0:
+    scores = eis / costs ** IMPLIED_ALPHA_GRID[:, None]
+    winners = scanned[_argmax_with_tiebreak(scores, costs)]
+    hits = np.flatnonzero(winners == sel.chosen_index)
+    if not len(hits):
         return None
-    lo = IMPLIED_ALPHA_GRID[best_start]
-    hi = IMPLIED_ALPHA_GRID[best_start + best_len - 1]
+    run = max(np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1), key=len)
+    lo, hi = IMPLIED_ALPHA_GRID[run[0]], IMPLIED_ALPHA_GRID[run[-1]]
     return float(0.5 * (lo + hi))

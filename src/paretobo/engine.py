@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_type_hints
@@ -284,19 +284,6 @@ def constrained_best(trace: Trace, tau: float) -> tuple[float, float]:
     return best_y, spend
 
 
-def _resolve_ei_cool(
-    kind: acq.EICool, budget: Budget, init_cost: float
-) -> acq.EICool:
-    # RunConfig ensures a total: given, or the SimulatedCost budget's.
-    total = kind.total_budget if kind.total_budget is not None else budget.tau
-    init = kind.init_budget if kind.init_budget is not None else init_cost
-    if total <= init:
-        raise ConfigError(
-            f"EI-cool total budget ({total}) must exceed init budget ({init})"
-        )
-    return acq.EICool(total_budget=total, init_budget=init)
-
-
 def _failure_cost(cost_pred: float | None, observed: list[float]) -> float:
     if cost_pred is not None:
         return cost_pred
@@ -381,9 +368,15 @@ def run(
             break
         record_eval(point, "init")
 
-    resolved_kind = cfg.acquisition
-    if isinstance(resolved_kind, acq.EICool):
-        resolved_kind = _resolve_ei_cool(resolved_kind, budget, trace.total_cost)
+    # EI-cool's missing budgets come from the SimulatedCost cap and the init
+    # spend; ei_cool_alpha checks total > init when the loop first selects.
+    kind = cfg.acquisition
+    if isinstance(kind, acq.EICool):
+        kind = replace(
+            kind,
+            total_budget=kind.total_budget or budget.tau,
+            init_budget=kind.init_budget or trace.total_cost,
+        )
 
     model = cost_model = None  # the last fits, each the next one's warm start
     prev_front: CandidateSet | None = None
@@ -411,7 +404,7 @@ def run(
 
         cost_floor = acq.cost_floor_for(costs)
         sel = acq.propose(
-            resolved_kind,
+            kind,
             model,
             cost_model,
             history_points=X,
@@ -423,7 +416,7 @@ def run(
             candidate_pool=problem.candidate_pool,
         )
         record = record_eval(sel.chosen.point, "bo", sel)
-        if isinstance(resolved_kind, acq.CEI):
+        if isinstance(kind, acq.CEI):
             record.implied_alpha = implied_alpha(sel)
 
         if track_persistence and prev_front is not None:

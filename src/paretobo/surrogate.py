@@ -163,11 +163,6 @@ def _matern52(
     return k
 
 
-def _block_rows(n: int) -> int:
-    """Rows of a cross-kernel block against ``n`` training points."""
-    return max(1, KERNEL_BLOCK_CELLS // max(n, 1))
-
-
 def _fill_cross_kernel(
     X1: np.ndarray,
     X2: np.ndarray,
@@ -196,20 +191,9 @@ def _fill_cross_kernel(
 
 
 def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix (m, n) between ``X1`` (m, d) and ``X2`` (n, d).
-
-    Filled ``_block_rows(n)`` rows at a time. Every entry is computed on its
-    own, so the blocks do not change its bits.
-    """
-    m, n = X1.shape[0], X2.shape[0]
-    out = np.empty((m, n))
-    rows = _block_rows(n)
-    work = np.empty((2, min(rows, m), n))
-    for start in range(0, m, rows):
-        block = slice(start, min(start + rows, m))
-        scratch = work[:, : block.stop - start]
-        _fill_cross_kernel(X1[block], X2, params, out[block], scratch)
-    return out
+    """Kernel matrix (m, n) between ``X1`` (m, d) and ``X2`` (n, d)."""
+    out = np.empty((X1.shape[0], X2.shape[0]))
+    return _fill_cross_kernel(X1, X2, params, out, np.empty((2, *out.shape)))
 
 
 def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
@@ -525,14 +509,14 @@ def gp_fit(
 def gp_posterior_many(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means/variances (native units) at points ``X`` of shape (m, d).
 
-    Rows go ``_block_rows(n_train)`` at a time. For each block, the mean is
-    ``k* @ alpha`` and the variance ``sv + nv - sum(v**2)`` with
+    Rows go ``KERNEL_BLOCK_CELLS // n_train`` at a time. For each block, the
+    mean is ``k* @ alpha`` and the variance ``sv + nv - sum(v**2)`` with
     ``v = L^-1 k*^T``, one triangular solve on the Cholesky factor ``L``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     params = model.params
     m, n = X.shape[0], model.n_train
-    rows = _block_rows(n)
+    rows = max(1, KERNEL_BLOCK_CELLS // n)
     k_star = np.empty((min(rows, m), n))
     work = np.empty((2, *k_star.shape))
     mean_std = np.empty(m)
