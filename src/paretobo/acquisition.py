@@ -206,7 +206,7 @@ def score(kind: AcquisitionKind, cand: Candidate, spent: float = 0.0) -> float:
     """
     if isinstance(kind, CEI):
         raise UsageError("CEI has no pointwise score; use cei_select/select")
-    return cand.ei / cand.cost_pred ** _effective_alpha(kind, spent)
+    return cand.ei / cand.cost_pred ** _effective_alpha(kind, spent) if cand.ei > 0 else 0.0
 
 
 Dominance = Literal["strict", "weak", "none"]
@@ -255,9 +255,14 @@ def pareto_front(cands: CandidateSet) -> CandidateSet:
     return cands.subset(front_indices(cands.ei, cands.cost))
 
 
+def _alpha_scores(eis: np.ndarray, costs: np.ndarray, alpha) -> np.ndarray:
+    """EI / cost**alpha, and 0 wherever EI is 0, even where cost**alpha is 0."""
+    powered = costs**alpha
+    return np.divide(eis, powered, out=np.zeros(powered.shape), where=eis > 0)
+
+
 def _argmax_with_tiebreak(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Index of the best score along the last axis; ties go to lower cost,
-    then lower index (also when every tied cost is infinite)."""
+    """Index of the best score along the last axis; ties go to lower cost, then index."""
     tied = scores == scores.max(axis=-1, keepdims=True)
     tied_costs = np.where(tied, costs, np.inf)
     return np.argmax(tied & (tied_costs == tied_costs.min(axis=-1, keepdims=True)), axis=-1)
@@ -317,7 +322,7 @@ def select(kind: AcquisitionKind, cands: CandidateSet, spent: float = 0.0) -> Se
         return cei_select(cands, kind.lam)
     if not len(cands):
         raise UsageError("select needs at least one candidate")
-    scores = cands.ei / cands.cost ** _effective_alpha(kind, spent)
+    scores = _alpha_scores(cands.ei, cands.cost, _effective_alpha(kind, spent))
     return _selection(cands, int(_argmax_with_tiebreak(scores, cands.cost)), None)
 
 
@@ -493,7 +498,7 @@ def implied_alpha(sel: SelectionResult) -> float | None:
 
     Scores the whole grid (0 plus log-spaced values up to 8) at once, one
     row per grid value, finds the first longest run of consecutive grid
-    values whose EIAlpha argmax (same tie-breaks as ``select``)
+    values whose EIAlpha argmax (same scores and tie-breaks as ``select``)
     matches the selection, and returns that run's midpoint. None when no
     grid value reproduces the choice.
 
@@ -506,7 +511,7 @@ def implied_alpha(sel: SelectionResult) -> float | None:
     eis, costs = sel.candidates.ei, sel.candidates.cost
     scanned = np.flatnonzero(np.isin(costs, sel.front.cost))
     eis, costs = eis[scanned], costs[scanned]
-    scores = eis / costs ** IMPLIED_ALPHA_GRID[:, None]
+    scores = _alpha_scores(eis, costs, IMPLIED_ALPHA_GRID[:, None])
     winners = scanned[_argmax_with_tiebreak(scores, costs)]
     hits = np.flatnonzero(winners == sel.chosen_index)
     if not len(hits):

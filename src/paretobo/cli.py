@@ -224,6 +224,7 @@ def _run_suite_grid(
     args: argparse.Namespace, methods: list[acq.AcquisitionKind]
 ) -> list[dict]:
     """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids."""
+    _at_least_one("--seeds", [args.seeds])
     methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a > 0]
     methods += [acq.CEI(l) for l in _parse_numbers(args.lambdas)]
     return run_grid(
@@ -551,6 +552,9 @@ def transfer_loto(seeds: int) -> list[dict]:
 
 
 def cmd_cost_eval(args: argparse.Namespace) -> int:
+    _at_least_one("--seeds", [args.seeds])
+    train_sizes = _parse_numbers(args.train_sizes, int)
+    _at_least_one("--train-sizes", train_sizes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = None
@@ -559,7 +563,7 @@ def cmd_cost_eval(args: argparse.Namespace) -> int:
             raise ConfigError("--data needs --space-file for the dimension layout")
         space = SearchSpace.load(args.space_file)
         data = (space, load_cost_csv(args.data, space))
-    table = cost_model_sweep(_parse_numbers(args.train_sizes, int), args.seeds, data)
+    table = cost_model_sweep(train_sizes, args.seeds, data)
     _write_csv(out_dir / "cost_eval.csv", table)
     transfer_table = transfer_loto(args.seeds)
     _write_csv(out_dir / "transfer_eval.csv", transfer_table)
@@ -706,6 +710,13 @@ def _parse_numbers(text: str, convert=float) -> list:
         return [convert(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as err:
         raise ConfigError(f"malformed list {text!r}: {err}") from None
+
+
+def _at_least_one(option: str, values: list[int]) -> None:
+    """A ConfigError naming the first of an option's values below 1."""
+    for value in values:
+        if value < 1:
+            raise ConfigError(f"{option} {str(value)!r}: must be at least 1")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:

@@ -47,6 +47,10 @@ class Dimension:
     scale: Scale = "linear"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ConfigError(f"dimension name {self.name!r} is not a string")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ConfigError(f"dimension {self.name!r}: bounds must be finite")
         if self.kind not in ("continuous", "integer"):
             raise ConfigError(f"dimension {self.name!r}: unknown kind {self.kind!r}")
         if self.scale not in ("linear", "log"):

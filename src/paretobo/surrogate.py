@@ -514,6 +514,9 @@ def gp_posterior_many(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     ``v = L^-1 k*^T``, one triangular solve on the Cholesky factor ``L``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    d = model.train_inputs.shape[1]
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DataError(f"points of shape {X.shape} for a model of {d} columns")
     params = model.params
     m, n = X.shape[0], model.n_train
     rows = max(1, KERNEL_BLOCK_CELLS // n)

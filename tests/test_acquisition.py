@@ -18,6 +18,7 @@ from paretobo.acquisition import (
     EIpu,
     IMPLIED_ALPHA_GRID,
     SelectionResult,
+    _argmax_with_tiebreak,
     cei_select,
     cost_floor_for,
     dominates,
@@ -381,6 +382,17 @@ class TestSelect:
         cands = random_candidates(rng, 64)
         assert select(EIpu(), cands).chosen_index == select(EIAlpha(1.0), cands).chosen_index
 
+    def test_zero_ei_scores_zero_when_cost_power_underflows(self):
+        # Every cost**100 underflows to 0, so EI 0 would score 0/0 = NaN.
+        cands = cset([(0.0, 1e-5), (0.2, 1e-4), (0.1, 2e-5)])
+        with np.errstate(divide="ignore"):
+            assert select(EIAlpha(100.0), cands).chosen_index == 2
+        assert score(EIAlpha(100.0), cands[0]) == 0.0
+
+    def test_tie_among_infinite_costs_goes_to_lower_index(self):
+        cands = cset([(0.0, 1.0), (1.0, math.inf), (1.0, math.inf)])
+        assert select(EI(), cands).chosen_index == 1
+
     def test_zero_ei_plateau_picks_cheapest(self):
         cands = cset([(0.0, 3.0), (0.0, 1.0), (0.0, 2.0)])
         sel = select(EI(), cands)
@@ -398,6 +410,33 @@ class TestSelect:
                 assert not any(
                     dominates(other, sel.chosen) == "strict" for other in members(cands)
                 )
+
+
+def loop_argmax_with_tiebreak(scores, costs):
+    """The 1-D tie-break as a filter: best score, then lower cost, then index."""
+    tied = np.flatnonzero(scores == scores.max())
+    tied = tied[costs[tied] == costs[tied].min()]
+    return int(tied[0])
+
+
+class TestArgmaxWithTiebreak:
+    def test_rows_match_the_one_dimensional_helper(self):
+        rng = np.random.default_rng(43)
+        cases = [
+            # exact score ties at different costs, at equal costs, and all tied
+            (np.array([[1.0, 1.0, 0.5], [0.5, 1.0, 1.0], [2.0, 2.0, 2.0]]),
+             np.array([2.0, 1.0, 1.0])),
+            (np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]),
+             np.array([1.0, math.inf, math.inf])),
+        ]
+        for _ in range(200):
+            k = int(rng.integers(1, 10))
+            scores = rng.choice([0.0, 0.5, 1.0], size=(7, k))
+            cases.append((scores, rng.choice([0.5, 1.0, math.inf], size=k)))
+        for scores, costs in cases:
+            rows = _argmax_with_tiebreak(scores, costs)
+            assert rows.tolist() == [int(_argmax_with_tiebreak(r, costs)) for r in scores]
+            assert rows.tolist() == [loop_argmax_with_tiebreak(r, costs) for r in scores]
 
 
 class TestImpliedAlpha:
@@ -539,6 +578,29 @@ class TestImpliedAlphaExactness:
         else:
             sel = select(rule, cands)
         assert implied_alpha(sel) == full_scan_implied_alpha(sel)
+
+    @pytest.mark.parametrize(
+        "points,rule,expect_none",
+        [
+            # EI ties at alpha 0, at different costs and at equal costs
+            ([(1.0, 1.0), (1.0, 2.0), (0.5, 0.5)], CEI(0.0), False),
+            ([(1.0, 1.0), (1.0, 1.0), (0.5, 0.5)], CEI(0.0), False),
+            ([(1.0, 1.0), (1.0, 1.0), (0.5, 0.5)], 1, True),
+            ([(1.0, 1.0), (1.0, 2.0), (0.5, 0.5)], CEI(0.5), False),
+            # three-way score tie at alpha = 1 only, which is not on the grid
+            ([(0.5, 1.0), (0.5, 1.0), (1.0, 2.0), (0.25, 0.5)], CEI(0.5), True),
+            # below the chord of its neighbours in (log cost, log EI)
+            ([(1.0, 1.0), (1.105, 2.718), (2.718, 7.389)], CEI(0.62), True),
+        ],
+    )
+    def test_front_scan_equals_the_full_scan_with_ties(self, points, rule, expect_none):
+        cands = cset(points)
+        if isinstance(rule, int):
+            sel = SelectionResult(cands[rule], rule, pareto_front(cands), cands)
+        else:
+            sel = select(rule, cands)
+        assert implied_alpha(sel) == full_scan_implied_alpha(sel)
+        assert (implied_alpha(sel) is None) == expect_none
 
     @pytest.mark.parametrize("duplicates", [False, True])
     def test_front_scan_equals_the_full_scan_on_large_sets(self, duplicates):

@@ -362,18 +362,34 @@ class TestCommands:
                 "FileNotFoundError",
             ),
             (["rank", "--runs", "{tmp}"], "{tmp}/gone.jsonl", "FileNotFoundError"),
+            (
+                ["cost-eval", "--data", "{tmp}/c.csv", "--space-file", "{tmp}/bad.json"],
+                "a",
+                "ConfigError",
+            ),
+            (["cost-eval", "--seeds", "0"], "0", "ConfigError"),
+            (["biopt", "--seeds", "0"], "0", "ConfigError"),
+            (["time-alloc", "--seeds", "-1"], "-1", "ConfigError"),
+            (["cost-eval", "--train-sizes", "-3"], "-3", "ConfigError"),
+            (["cost-eval", "--train-sizes", "4,0"], "0", "ConfigError"),
         ],
         ids=[
             "unknown-problem", "acq-alpha", "acq-ei-extra", "acq-alpha-nan",
             "acq-alpha-inf", "acq-ei-cool-nan", "acq-cei", "alphas", "lambdas",
             "time-alloc-multiples", "rank-multiples", "train-sizes",
             "missing-table", "missing-space-file", "missing-cost-data",
-            "missing-trace",
+            "missing-trace", "space-file-list-name", "cost-eval-seeds",
+            "biopt-seeds", "time-alloc-seeds", "train-size-negative",
+            "train-size-zero",
         ],
     )
     def test_error_is_machine_readable(self, tmp_path, capsys, argv, bad, error):
-        # Inputs that exist: a space file, and a manifest naming a gone trace.
+        # Inputs that exist: space files, one with a list for a dimension name,
+        # and a manifest naming a gone trace.
         OBJECTIVES["branin"].space.save(tmp_path / "s.json")
+        bad_space = OBJECTIVES["branin"].space.to_dict()
+        bad_space["dimensions"][0]["name"] = ["a"]
+        (tmp_path / "bad.json").write_text(json.dumps(bad_space))
         (tmp_path / "runs.csv").write_text(
             f"method,problem,seed,trace\nei,p,0,{tmp_path}/gone.jsonl\n"
         )

@@ -371,6 +371,34 @@ class TestEICool:
         trace = run(quick_problem(), cfg)
         assert trace.total_cost >= 40.0 or len(trace) >= 5
 
+    def test_init_design_spending_the_budget_returns_its_trace(self):
+        # The init design spends 12.83 of a 5.0 budget: no selection is left
+        # to make, so EI-cool returns the same trace as any other rule.
+        problem = build_problem("hartmann3/expensive", 0.0, seed=0)
+        cfg = dict(seed=0, budget=SimulatedCost(5.0), candidate_count=64)
+        traces = [
+            run(problem, RunConfig(acquisition=kind, **cfg)) for kind in (EIAlpha(0.5), EICool())
+        ]
+        assert [r.phase for r in traces[1].records] == ["init", "init"]
+        assert traces[1].total_cost > 5.0
+        assert [r.to_dict() for r in traces[1].records] == [
+            r.to_dict() for r in traces[0].records
+        ]
+
+    @pytest.mark.parametrize("total", [3.0, 5.0])
+    def test_total_at_most_the_init_cost_raises_before_bo(self, total):
+        calls = []
+
+        def evaluate(u):
+            calls.append(u)
+            return float(np.sum(u)), 1.0
+
+        problem = BlackBox(space=quick_problem().space, evaluate=evaluate, name="spy")
+        cfg = quick_config(acquisition=EICool(total_budget=total), init_design_size=5)
+        with pytest.raises(ConfigError, match=r"must exceed init budget \(5.0\)"):
+            run(problem, cfg)
+        assert len(calls) == 5
+
     def test_explicit_total_budget_with_iterations(self):
         cfg = quick_config(acquisition=EICool(total_budget=100.0))
         trace = run(quick_problem(), cfg)

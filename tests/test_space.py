@@ -153,6 +153,21 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Dimension("x", "integer", 0.5, 4)
 
+    @pytest.mark.parametrize(
+        "lower,upper", [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ConfigError, match="finite"):
+            Dimension("x", "continuous", lower, upper)
+
+    @pytest.mark.parametrize("name", [["a"], 3, None])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ConfigError, match="not a string"):
+            Dimension(name, "continuous", 0.0, 1.0)
+        entry = {"name": name, "kind": "continuous", "lower": 0.0, "upper": 1.0}
+        with pytest.raises(ConfigError, match="not a string"):
+            SearchSpace.from_dict({"dimensions": [entry]})
+
     def test_duplicate_names(self):
         dim = Dimension("x", "continuous", 0, 1)
         with pytest.raises(ConfigError):

@@ -29,6 +29,7 @@ from paretobo.surrogate import (
     _MLLWorkspace,
     _cross_kernel,
     _default_start,
+    _fill_cross_kernel,
     _mll_value_and_grad,
     _random_start,
     _standardize,
@@ -784,16 +785,30 @@ class TestBlockedPosterior:
         assert np.all(variances >= 0.0)
 
     @pytest.mark.parametrize("m,n", [(1000, 37), (5, 4000), (20000, 1)])
-    def test_blocked_cross_kernel_is_bitwise_one_block(self, monkeypatch, m, n):
+    def test_blocked_cross_kernel_is_bitwise_one_block(self, m, n):
+        # The row blocks gp_posterior_many fills, against one whole-matrix fill.
         rng = np.random.default_rng(m + n)
         params = KernelParams(0.9, rng.uniform(0.1, 1.0, size=3), 1e-3)
         X1 = rng.uniform(size=(m, 3))
         X2 = rng.uniform(size=(n, 3))
-        assert m > KERNEL_BLOCK_CELLS // n  # at least two blocks
-        blocked = _cross_kernel(X1, X2, params)
-        monkeypatch.setattr(surrogate_mod, "KERNEL_BLOCK_CELLS", m * n)
+        rows = KERNEL_BLOCK_CELLS // n
+        assert m > rows  # at least two blocks
         one_block = _cross_kernel(X1, X2, params)
-        assert blocked.tobytes() == one_block.tobytes()
+        work = np.empty((2, rows, n))
+        for start in range(0, m, rows):
+            block = X1[start : start + rows]
+            k = np.empty((len(block), n))
+            _fill_cross_kernel(block, X2, params, k, work[:, : len(block)])
+            assert k.tobytes() == one_block[start : start + rows].tobytes()
+
+    def test_points_with_other_column_counts_raise(self):
+        one_d, _ = block_model(6, d=1)
+        with pytest.raises(DataError, match="1 columns"):
+            gp_posterior_many(one_d, np.linspace(0, 1, 5))
+        three_d, _ = block_model(6, d=3)
+        with pytest.raises(DataError, match="3 columns"):
+            gp_posterior_many(three_d, np.random.default_rng(2).uniform(size=(4, 5)))
+        assert len(gp_posterior_many(one_d, np.linspace(0, 1, 5)[:, None])[0]) == 5
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_point_in_the_last_block_raises(self, bad):
