@@ -10,13 +10,11 @@ from .acquisition import (
     EIpu,
     SelectionResult,
     cei_select,
-    dominates,
     ei,
     ei_cool_alpha,
     implied_alpha,
     pareto_front,
     propose,
-    score,
     select,
 )
 from .bench import BlackBox, load_tabular, make_synthetic

@@ -14,7 +14,7 @@ predicted cost) plane:
 Selection happens over a finite candidate set (quasi-random points plus
 local perturbations of past evaluations), which makes the per-iteration
 EI-cost Pareto front an explicit, loggable object. Every selection rule
-here returns a candidate that is non-dominated within its candidate set.
+here picks a member of that front.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Literal
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, xlogy
 from scipy.stats import qmc
 
 from .errors import ConfigError, NumericError, UsageError
@@ -198,33 +197,6 @@ def ei_cool_alpha(total_budget: float, init_budget: float, spent: float) -> floa
     return min(max(alpha, 0.0), 1.0)
 
 
-def score(kind: AcquisitionKind, cand: Candidate, spent: float = 0.0) -> float:
-    """Pointwise acquisition value of a scored candidate.
-
-    CEI has no pointwise score (its rule is selection-level); passing it
-    here is a usage error.
-    """
-    if isinstance(kind, CEI):
-        raise UsageError("CEI has no pointwise score; use cei_select/select")
-    return cand.ei / cand.cost_pred ** _effective_alpha(kind, spent) if cand.ei > 0 else 0.0
-
-
-Dominance = Literal["strict", "weak", "none"]
-
-
-def dominates(p: Candidate, q: Candidate) -> Dominance:
-    """Dominance of p over q in the (cost, EI) plane.
-
-    Weak: p costs no more and has at least the EI of q. Strict: weak with
-    at least one inequality strict.
-    """
-    if p.cost_pred <= q.cost_pred and p.ei >= q.ei:
-        if p.cost_pred < q.cost_pred or p.ei > q.ei:
-            return "strict"
-        return "weak"
-    return "none"
-
-
 def front_indices(eis: np.ndarray, costs: np.ndarray) -> np.ndarray:
     """Indices of the non-dominated points of a nonempty set, by cost, then index.
 
@@ -255,19 +227,6 @@ def pareto_front(cands: CandidateSet) -> CandidateSet:
     return cands.subset(front_indices(cands.ei, cands.cost))
 
 
-def _alpha_scores(eis: np.ndarray, costs: np.ndarray, alpha) -> np.ndarray:
-    """EI / cost**alpha, and 0 wherever EI is 0, even where cost**alpha is 0."""
-    powered = costs**alpha
-    return np.divide(eis, powered, out=np.zeros(powered.shape), where=eis > 0)
-
-
-def _argmax_with_tiebreak(scores: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """Index of the best score along the last axis; ties go to lower cost, then index."""
-    tied = scores == scores.max(axis=-1, keepdims=True)
-    tied_costs = np.where(tied, costs, np.inf)
-    return np.argmax(tied & (tied_costs == tied_costs.min(axis=-1, keepdims=True)), axis=-1)
-
-
 def _effective_alpha(kind: AcquisitionKind, spent: float) -> float:
     """Cost exponent implied by an EI-family acquisition kind."""
     if isinstance(kind, EI):
@@ -283,47 +242,59 @@ def _effective_alpha(kind: AcquisitionKind, spent: float) -> float:
     raise UsageError(f"{kind!r} has no pointwise cost exponent")
 
 
+def _log_scores(front: CandidateSet, alpha) -> np.ndarray:
+    """log EI - alpha log cost: -inf at zero EI, and exactly log EI at alpha 0."""
+    with np.errstate(divide="ignore"):  # log(0) is -inf
+        log_ei = np.log(front.ei)
+    return log_ei - xlogy(alpha, front.cost)
+
+
+def _first_copy(cands: CandidateSet, ei: float, cost: float) -> int:
+    """Lowest index of a candidate with this (EI, cost) pair."""
+    return int(np.argmax((cands.ei == ei) & (cands.cost == cost)))
+
+
 def _selection(
-    cands: CandidateSet, chosen_idx: int, threshold: float | None
+    cands: CandidateSet, front: CandidateSet, position: int, threshold: float | None
 ) -> SelectionResult:
+    """The result that chooses front member ``position``, as its first copy in ``cands``."""
+    index = _first_copy(cands, front.ei[position], front.cost[position])
     return SelectionResult(
-        chosen=cands[chosen_idx],
-        chosen_index=chosen_idx,
-        front=pareto_front(cands),
+        chosen=cands[index],
+        chosen_index=index,
+        front=front,
         candidates=cands,
         threshold=threshold,
-        degenerate=bool(np.max(cands.ei) <= 0.0),
+        degenerate=bool(np.max(front.ei) <= 0.0),
     )
 
 
 def cei_select(cands: CandidateSet, lam: float) -> SelectionResult:
-    """Minimum-cost candidate among those with EI >= (1 - lam) * max EI.
+    """Cheapest front member with EI >= (1 - lam) * max EI.
 
-    Cost ties go to the higher EI, then to the lower index. The chosen
-    candidate is always non-dominated within ``cands``.
+    It is the minimum-cost candidate among those over the threshold, with
+    cost ties to the higher EI, then to the lower index.
     """
-    if not len(cands):
-        raise UsageError("cei_select needs at least one candidate")
     if not (0.0 <= lam <= 1.0):
         raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    eis, costs = cands.ei, cands.cost
-    threshold = (1.0 - lam) * float(np.max(eis))
-    feasible = np.flatnonzero(eis >= threshold)
-
-    # min cost, then max EI, then lowest index
-    at_min_cost = feasible[costs[feasible] == costs[feasible].min()]
-    chosen_idx = int(at_min_cost[eis[at_min_cost] == eis[at_min_cost].max()][0])
-    return _selection(cands, chosen_idx, threshold)
+    front = pareto_front(cands)
+    threshold = (1.0 - lam) * float(np.max(front.ei))
+    return _selection(cands, front, int(np.argmax(front.ei >= threshold)), threshold)
 
 
 def select(kind: AcquisitionKind, cands: CandidateSet, spent: float = 0.0) -> SelectionResult:
-    """Apply an acquisition rule to an already-scored candidate set."""
+    """Apply an acquisition rule to an already-scored candidate set.
+
+    Every rule picks a position on the front, which is ordered by cost, then
+    by falling EI, then by index. The EI-family rules take the first maximum
+    of ``log EI - alpha log cost``, so ties go to the lower cost, then to the
+    higher EI, then to the lower index.
+    """
     if isinstance(kind, CEI):
         return cei_select(cands, kind.lam)
-    if not len(cands):
-        raise UsageError("select needs at least one candidate")
-    scores = _alpha_scores(cands.ei, cands.cost, _effective_alpha(kind, spent))
-    return _selection(cands, int(_argmax_with_tiebreak(scores, cands.cost)), None)
+    front = pareto_front(cands)
+    scores = _log_scores(front, _effective_alpha(kind, spent))
+    return _selection(cands, front, int(np.argmax(scores)), None)
 
 
 def generate_candidates(
@@ -496,24 +467,19 @@ def kind_id(kind: AcquisitionKind) -> str:
 def implied_alpha(sel: SelectionResult) -> float | None:
     """Exponent that EIAlpha would have needed to pick the same candidate.
 
-    Scores the whole grid (0 plus log-spaced values up to 8) at once, one
-    row per grid value, finds the first longest run of consecutive grid
-    values whose EIAlpha argmax (same scores and tie-breaks as ``select``)
-    matches the selection, and returns that run's midpoint. None when no
-    grid value reproduces the choice.
-
-    Only candidates that cost the same as some front member are scored. For
-    any alpha >= 0 the argmax lies among them: a candidate at a cost with no
-    front member is beaten by a cheaper one with at least its EI, whose
-    score is at least its own (``pow`` is monotone in its base), and which
-    wins a tie by cost.
+    Scores the front once per grid value (0 plus log-spaced values up to 8),
+    as one matrix with ``select``'s score and tie-break, finds the first
+    longest run of consecutive grid values whose choice is the selection's,
+    and returns that run's midpoint. None when no grid value reproduces the
+    choice, as for a candidate off the front or a later copy of one on it.
     """
-    eis, costs = sel.candidates.ei, sel.candidates.cost
-    scanned = np.flatnonzero(np.isin(costs, sel.front.cost))
-    eis, costs = eis[scanned], costs[scanned]
-    scores = _alpha_scores(eis, costs, IMPLIED_ALPHA_GRID[:, None])
-    winners = scanned[_argmax_with_tiebreak(scores, costs)]
-    hits = np.flatnonzero(winners == sel.chosen_index)
+    front, chosen = sel.front, sel.chosen
+    if _first_copy(sel.candidates, chosen.ei, chosen.cost_pred) != sel.chosen_index:
+        return None
+    winners = np.argmax(_log_scores(front, IMPLIED_ALPHA_GRID[:, None]), axis=-1)
+    hits = np.flatnonzero(
+        (front.ei[winners] == chosen.ei) & (front.cost[winners] == chosen.cost_pred)
+    )
     if not len(hits):
         return None
     run = max(np.split(hits, np.flatnonzero(np.diff(hits) > 1) + 1), key=len)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
+from test_acceptance import _oracle_front_ids
 
 from paretobo.acquisition import (
     CEI,
@@ -18,10 +20,9 @@ from paretobo.acquisition import (
     EIpu,
     IMPLIED_ALPHA_GRID,
     SelectionResult,
-    _argmax_with_tiebreak,
+    _effective_alpha,
     cei_select,
     cost_floor_for,
-    dominates,
     ei,
     ei_cool_alpha,
     ei_gradients,
@@ -34,7 +35,6 @@ from paretobo.acquisition import (
     parse_kind,
     pareto_front,
     propose,
-    score,
     select,
 )
 from paretobo.errors import ConfigError, NumericError, UsageError
@@ -59,6 +59,25 @@ def pairs(cands):
 
 def members(cands):
     return [cands[i] for i in range(len(cands))]
+
+
+def score(kind, cand, spent=0.0):
+    """Pointwise reference of select's score, log EI - alpha log cost."""
+    with np.errstate(divide="ignore"):  # log(0) is -inf
+        return float(np.log(cand.ei) - xlogy(_effective_alpha(kind, spent), cand.cost_pred))
+
+
+def dominates(p, q):
+    """Dominance of p over q in the (cost, EI) plane.
+
+    Weak: p costs no more and has at least the EI of q. Strict: weak with
+    at least one inequality strict.
+    """
+    if p.cost_pred <= q.cost_pred and p.ei >= q.ei:
+        if p.cost_pred < q.cost_pred or p.ei > q.ei:
+            return "strict"
+        return "weak"
+    return "none"
 
 
 def brute_force_front(cands):
@@ -159,18 +178,18 @@ class TestEICool:
 
 class TestScore:
     def test_eipu_arithmetic(self):
-        assert score(EIAlpha(1.0), cand(0.4, 4.0)) == pytest.approx(0.1)
+        assert score(EIAlpha(1.0), cand(0.4, 4.0)) == pytest.approx(math.log(0.1))
 
     def test_alpha_zero_reduces_to_ei(self):
-        assert score(EIAlpha(0.0), cand(0.4, 4.0)) == pytest.approx(0.4)
+        assert score(EIAlpha(0.0), cand(0.4, 4.0)) == np.log(0.4)
 
     def test_alpha_half(self):
-        assert score(EIAlpha(0.5), cand(0.4, 4.0)) == pytest.approx(0.2)
+        assert score(EIAlpha(0.5), cand(0.4, 4.0)) == pytest.approx(math.log(0.2))
 
     def test_cool_uses_schedule(self):
         kind = EICool(total_budget=100.0, init_budget=20.0)
-        assert score(kind, cand(0.4, 4.0), spent=100.0) == pytest.approx(0.4)
-        assert score(kind, cand(0.4, 4.0), spent=20.0) == pytest.approx(0.1)
+        assert score(kind, cand(0.4, 4.0), spent=100.0) == np.log(0.4)
+        assert score(kind, cand(0.4, 4.0), spent=20.0) == pytest.approx(math.log(0.1))
 
     def test_cei_has_no_pointwise_score(self):
         with pytest.raises(UsageError):
@@ -266,7 +285,7 @@ def reference_select(kind, listed, spent):
     scores = [score(kind, c, spent) for c in listed]
     top = max(scores)
     best = [i for i, v in enumerate(scores) if v == top]
-    return min(best, key=lambda i: (listed[i].cost_pred, i)), None
+    return min(best, key=lambda i: (listed[i].cost_pred, -listed[i].ei, i)), None
 
 
 class TestCandidateSetParity:
@@ -382,12 +401,24 @@ class TestSelect:
         cands = random_candidates(rng, 64)
         assert select(EIpu(), cands).chosen_index == select(EIAlpha(1.0), cands).chosen_index
 
-    def test_zero_ei_scores_zero_when_cost_power_underflows(self):
-        # Every cost**100 underflows to 0, so EI 0 would score 0/0 = NaN.
+    def test_zero_ei_scores_minus_inf_when_cost_power_underflows(self):
+        # Every cost**100 underflows to 0; in log space EI 0 scores -inf, not 0/0.
         cands = cset([(0.0, 1e-5), (0.2, 1e-4), (0.1, 2e-5)])
-        with np.errstate(divide="ignore"):
-            assert select(EIAlpha(100.0), cands).chosen_index == 2
-        assert score(EIAlpha(100.0), cands[0]) == 0.0
+        assert select(EIAlpha(100.0), cands).chosen_index == 2
+        assert score(EIAlpha(100.0), cands[0]) == -math.inf
+
+    def test_order_kept_where_cost_power_underflows(self):
+        # Both cost**100 underflow to 0, so EI / cost**100 would score inf twice;
+        # log EI - 100 log cost is 1144.4 against 1150.3.
+        cands = cset([(1e-3, 1e-5), (1.0, 1.01e-5)])
+        assert select(EIAlpha(100.0), cands).chosen_index == 1
+
+    def test_subnormal_ei_beats_zero_ei_at_equal_cost(self):
+        # 5e-324 / 2 rounds to 0, the score of EI 0; log 5e-324 is finite.
+        cands = cset([(0.0, 2.0), (5e-324, 2.0)])
+        sel = select(EIAlpha(1.0), cands)
+        assert sel.chosen_index == 1
+        assert not sel.degenerate
 
     def test_tie_among_infinite_costs_goes_to_lower_index(self):
         cands = cset([(0.0, 1.0), (1.0, math.inf), (1.0, math.inf)])
@@ -412,18 +443,19 @@ class TestSelect:
                 )
 
 
-def loop_argmax_with_tiebreak(scores, costs):
-    """The 1-D tie-break as a filter: best score, then lower cost, then index."""
+def loop_argmax_with_tiebreak(scores, eis, costs):
+    """The tie-break as a filter: best score, then lower cost, higher EI, index."""
     tied = np.flatnonzero(scores == scores.max())
     tied = tied[costs[tied] == costs[tied].min()]
+    tied = tied[eis[tied] == eis[tied].max()]
     return int(tied[0])
 
 
-class TestArgmaxWithTiebreak:
-    def test_rows_match_the_one_dimensional_helper(self):
+class TestSelectTieBreak:
+    def test_tie_heavy_sets_match_the_loop_oracle(self):
         rng = np.random.default_rng(43)
         cases = [
-            # exact score ties at different costs, at equal costs, and all tied
+            # exact EI ties at different costs, at equal costs, and all tied
             (np.array([[1.0, 1.0, 0.5], [0.5, 1.0, 1.0], [2.0, 2.0, 2.0]]),
              np.array([2.0, 1.0, 1.0])),
             (np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]),
@@ -431,12 +463,15 @@ class TestArgmaxWithTiebreak:
         ]
         for _ in range(200):
             k = int(rng.integers(1, 10))
-            scores = rng.choice([0.0, 0.5, 1.0], size=(7, k))
-            cases.append((scores, rng.choice([0.5, 1.0, math.inf], size=k)))
-        for scores, costs in cases:
-            rows = _argmax_with_tiebreak(scores, costs)
-            assert rows.tolist() == [int(_argmax_with_tiebreak(r, costs)) for r in scores]
-            assert rows.tolist() == [loop_argmax_with_tiebreak(r, costs) for r in scores]
+            eis = rng.choice([0.0, 0.5, 1.0], size=(7, k))
+            cases.append((eis, rng.choice([0.5, 1.0, math.inf], size=k)))
+        for rows, costs in cases:
+            for eis in rows:
+                cands = cset(np.column_stack([eis, costs]))
+                for kind in (EI(), EIpu(), EIAlpha(2.0)):
+                    scores = np.array([score(kind, c) for c in members(cands)])
+                    expected = loop_argmax_with_tiebreak(scores, eis, costs)
+                    assert select(kind, cands).chosen_index == expected
 
 
 class TestImpliedAlpha:
@@ -505,14 +540,13 @@ class TestImpliedAlpha:
 
 
 def full_scan_implied_alpha(sel):
-    """The 121-value scan over every candidate, as implied_alpha once was."""
+    """The 121-value scan over every candidate, with select's log score."""
     eis, costs = sel.candidates.ei, sel.candidates.cost
     matches = np.zeros(len(IMPLIED_ALPHA_GRID), dtype=bool)
     for g, alpha in enumerate(IMPLIED_ALPHA_GRID):
-        scores = eis / costs**alpha
-        tied = np.flatnonzero(scores == scores.max())
-        tied = tied[costs[tied] == costs[tied].min()]
-        matches[g] = int(tied[0]) == sel.chosen_index
+        with np.errstate(divide="ignore"):  # log(0) is -inf
+            scores = np.log(eis) - xlogy(alpha, costs)
+        matches[g] = loop_argmax_with_tiebreak(scores, eis, costs) == sel.chosen_index
     best_len, best_start = 0, -1
     run_len, run_start = 0, 0
     for g, hit in enumerate(matches):
@@ -558,6 +592,26 @@ RULES = st.one_of(
 )
 
 
+# Every selection rule; EI-cool cools over spends drawn from [0, 12].
+SELECTION_RULES = st.one_of(
+    st.sampled_from([EI(), EIpu(), EICool(total_budget=10.0, init_budget=1.0)]),
+    st.builds(EIAlpha, st.floats(0.0, 8.0)),
+    st.builds(CEI, st.floats(0.0, 1.0)),
+)
+
+
+class TestSelectionOnTheFront:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(cands=clamped_sets(), rule=SELECTION_RULES, spent=st.floats(0.0, 12.0))
+    @example(cands=cset([(0.0, 2.0), (5e-324, 2.0)]), rule=EIAlpha(1.0), spent=0.0)
+    def test_every_rule_picks_the_first_copy_of_a_front_member(self, cands, rule, spent):
+        sel = select(rule, cands, spent=spent)
+        index = sel.chosen_index
+        assert index in _oracle_front_ids(cands.ei, cands.cost)
+        copies = (cands.ei == sel.chosen.ei) & (cands.cost == sel.chosen.cost_pred)
+        assert not np.any(copies[:index])
+
+
 class TestImpliedAlphaExactness:
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(cands=clamped_sets(), rule=RULES)
@@ -567,8 +621,8 @@ class TestImpliedAlphaExactness:
     @example(cands=cset([(0.2, 1.0), (0.3, 1.0)]), rule=0)
     @example(cands=cset([(5e-324, 2.0), (0.0, 1.0)]), rule=CEI(1.0))
     @example(cands=cset([(0.9, 3.0), (0.3, 1.0)]), rule=CEI(0.5))
-    # Off the front, yet the argmax for alpha >= 1: both scores underflow to 0,
-    # and the tie goes to the lower index.
+    # Off the front: an equal-cost member has a higher EI, and a higher log EI
+    # at every alpha, so no grid value reproduces the choice.
     @example(cands=cset([(0.0, 2.0), (5e-324, 2.0)]), rule=0)
     @example(cands=cset([(1e-310, 100.0), (2e-310, 100.0)]), rule=0)
     def test_front_scan_equals_the_full_scan(self, cands, rule):

@@ -5,7 +5,6 @@ import pytest
 
 from paretobo.acquisition import (
     CandidateSet,
-    dominates,
     ei,
     pareto_front,
     score_candidates,
@@ -13,6 +12,15 @@ from paretobo.acquisition import (
 from paretobo.cost import LinearCost
 from paretobo.diagnostics import ei_decomposition, front_persistence
 from paretobo.surrogate import KernelParams, build_model, gp_posterior
+
+
+def strictly_dominates(p, q):
+    """p costs no more and has at least the EI of q, and differs from q."""
+    return (
+        p.cost_pred <= q.cost_pred
+        and p.ei >= q.ei
+        and (p.cost_pred < q.cost_pred or p.ei > q.ei)
+    )
 
 
 def scored(points, model, cost_model, f_min):
@@ -128,11 +136,7 @@ class TestPersistence:
             expected = sum(
                 1
                 for c in rescored
-                if not any(
-                    dominates(other, c) == "strict"
-                    for other in union
-                    if other is not c
-                )
+                if not any(strictly_dominates(other, c) for other in union if other is not c)
             )
             assert stat.survived == expected
             assert 0 <= stat.survived <= stat.total
