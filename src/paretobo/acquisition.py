@@ -19,13 +19,14 @@ here picks a member of that front.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.special import ndtr, xlogy
-from scipy.stats import qmc
 
 from .errors import ConfigError, NumericError, UsageError
 from .surrogate import GPModel, gp_posterior_many
@@ -38,6 +39,12 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 DEFAULT_CANDIDATE_COUNT = 2048
 PERTURBATIONS_PER_HISTORY_POINT = 10
 PERTURBATION_SD = 0.05
+
+# Scrambled Sobol points carry 30 bits, so at most 2**30 distinct points, and
+# the direction-number table covers 21201 dimensions (see _sobol()).
+SOBOL_BITS = 30
+SOBOL_MAX_DIM = 21201
+MAX_CANDIDATE_COUNT = 2**SOBOL_BITS
 
 # Scan grid for implied_alpha(): alpha = 0 plus a log-spaced sweep up to 8.
 IMPLIED_ALPHA_GRID = np.concatenate(
@@ -309,8 +316,12 @@ def generate_candidates(
     When ``candidate_pool`` is given (tabular replay), candidates are drawn
     from the pool instead, so proposals always land on recorded rows.
     """
-    if candidate_count < 1:
-        raise ConfigError(f"candidate_count must be >= 1, got {candidate_count}")
+    if not 1 <= candidate_count <= MAX_CANDIDATE_COUNT:
+        raise ConfigError(
+            f"candidate_count must be in [1, {MAX_CANDIDATE_COUNT}], got {candidate_count}"
+        )
+    if not 1 <= dim <= SOBOL_MAX_DIM:
+        raise ConfigError(f"dim must be in [1, {SOBOL_MAX_DIM}], got {dim}")
     if candidate_pool is not None:
         pool = np.atleast_2d(np.asarray(candidate_pool, dtype=float))
         if pool.shape[0] <= candidate_count:
@@ -318,10 +329,7 @@ def generate_candidates(
         idx = rng.choice(pool.shape[0], size=candidate_count, replace=False)
         return pool[np.sort(idx)]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # non-power-of-two draws
-        sobol = qmc.Sobol(d=dim, scramble=True, seed=rng)
-        cands = sobol.random(candidate_count)
+    cands = _sobol(dim, candidate_count, rng)
     if history_points is not None and len(history_points) > 0:
         hist = np.atleast_2d(np.asarray(history_points, dtype=float))
         shape = (hist.shape[0], PERTURBATIONS_PER_HISTORY_POINT, dim)
@@ -329,6 +337,82 @@ def generate_candidates(
         local = np.clip(hist[:, None, :] + noise, 0.0, 1.0).reshape(-1, dim)
         cands = np.vstack([cands, local])
     return cands
+
+
+@functools.cache
+def _sobol_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe & Kuo's primitive polynomials and initial direction numbers.
+
+    Read from the file scipy ships them in, by path, so that scipy.stats
+    is never imported.
+    """
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    poly.flags.writeable = vinit.flags.writeable = False  # shared by every caller
+    return poly, vinit
+
+
+@functools.cache
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Unscrambled direction numbers (dim, 30), column j shifted left by 29 - j."""
+    poly_all, vinit = _sobol_table()
+    poly = poly_all[:dim]
+    degree = np.frexp(poly)[1] - 1
+    # Row 0 is all ones; row d starts from its first degree[d] initial
+    # numbers and follows its polynomial's recurrence after them.
+    v = np.zeros((dim, SOBOL_BITS), dtype=np.int64)
+    given = np.arange(vinit.shape[1]) < degree[:, None]
+    v[:, : vinit.shape[1]] = np.where(given, vinit[:dim], 0)
+    v[0] = 1
+    for j in range(SOBOL_BITS):
+        r = np.flatnonzero(j >= degree)
+        m, p = degree[r], poly[r]
+        new = v[r, j - m]
+        for k in range(int(m.max())):
+            # Coefficient k of the polynomial, read from its top bit down.
+            on = (k < m) & ((p >> np.maximum(m - 1 - k, 0)) & 1).astype(bool)
+            new ^= np.where(on, v[r, np.maximum(j - k - 1, 0)] << (k + 1), 0)
+        v[r, j] = new
+    directions = (v << np.arange(SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    directions.flags.writeable = False  # shared by every caller
+    return directions
+
+
+def _sobol(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first ``n`` points of a scrambled Sobol sequence, shape (n, dim).
+
+    Bit-identical to ``scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=rng).random(n)``: Joe & Kuo's direction numbers (SIAM J. Sci.
+    Comput. 30(5), 2008), Matousek's linear matrix scramble plus a digital
+    shift (J. Complexity 14, 1998), drawn from one spawned child of ``rng``
+    (so ``rng``'s own stream is left as it was), and points in Gray-code
+    order.
+    """
+    child = rng.spawn(1)[0]
+    shift = np.dot(
+        child.integers(2, size=(dim, SOBOL_BITS), dtype=np.uint32),
+        2 ** np.arange(SOBOL_BITS, dtype=np.uint32),
+    )
+    ltm = np.tril(child.integers(2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+    diag = np.arange(SOBOL_BITS)
+    ltm[:, diag, diag] = 1
+    # Scramble only the columns the n points use: bit 29 - p of a scrambled
+    # direction number is the GF(2) product of ltm's row p with its bits.
+    cols = int(n - 1).bit_length()
+    msb_first = np.arange(SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    bits = (_sobol_directions(dim)[:, :cols, None] >> msb_first) & 1
+    scrambled = ((bits @ ltm.transpose(0, 2, 1)) & 1) << msb_first
+    directions = scrambled.sum(axis=2, dtype=np.uint32)
+    # Gray-code order: points 2**b .. 2**(b+1) - 1 are the points before them
+    # in reverse, XORed with direction b.
+    quasi = np.empty((n, dim), dtype=np.uint32)
+    quasi[0] = shift
+    for b in range(cols):
+        half = 1 << b
+        count = min(half, n - half)
+        quasi[half : half + count] = quasi[half - count : half][::-1] ^ directions[:, b]
+    return quasi * (1.0 / 2**SOBOL_BITS)
 
 
 def cost_floor_for(observed_costs: np.ndarray) -> float:

@@ -83,6 +83,11 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.candidate_count > acq.MAX_CANDIDATE_COUNT:
+            raise ConfigError(
+                f"candidate_count must be <= {acq.MAX_CANDIDATE_COUNT}, "
+                f"got {self.candidate_count}"
+            )
         if (
             isinstance(self.acquisition, acq.EICool)
             and self.acquisition.total_budget is None

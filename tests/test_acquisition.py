@@ -2,6 +2,8 @@
 
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from paretobo.acquisition import (
     EICool,
     EIpu,
     IMPLIED_ALPHA_GRID,
+    MAX_CANDIDATE_COUNT,
+    SOBOL_MAX_DIM,
     SelectionResult,
     _effective_alpha,
     cei_select,
@@ -671,6 +675,8 @@ class TestCandidateGeneration:
         a = generate_candidates(3, None, 64, np.random.default_rng(5))
         b = generate_candidates(3, None, 64, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
+        c = generate_candidates(np.int64(3), None, np.int64(64), np.random.default_rng(5))
+        np.testing.assert_array_equal(a, c)
 
     def test_includes_history_perturbations(self):
         hist = np.array([[0.5, 0.5]])
@@ -690,6 +696,43 @@ class TestCandidateGeneration:
         assert cands.shape == (16, 2)
         pool_rows = {tuple(row) for row in pool}
         assert all(tuple(row) in pool_rows for row in cands)
+
+    @pytest.mark.parametrize("dim", [*range(1, 12), 21, 40])
+    def test_sobol_points_are_the_bytes_of_scipy_qmc(self, dim):
+        # Only the library must not import scipy.stats; the oracle may.
+        from scipy.stats import qmc
+
+        for n in (1, 2, 3, 5, 64, 128, 129, 250, 1000, 1024, 8192):
+            for seed in range(3):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+                    expected = qmc.Sobol(dim, scramble=True, seed=theirs).random(n)
+                got = generate_candidates(dim, None, n, ours)
+                assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+                assert got.tobytes() == expected.tobytes(), (n, seed)
+                # Both drew from one spawned child and left the parent's stream.
+                assert ours.bit_generator.state == theirs.bit_generator.state
+                assert ours.spawn(1)[0].random() == theirs.spawn(1)[0].random()
+
+    @pytest.mark.parametrize(
+        "dim,count,bad",
+        [
+            (SOBOL_MAX_DIM + 1, 64, "21202"),
+            (0, 64, "got 0"),
+            (2, MAX_CANDIDATE_COUNT + 1, "1073741825"),
+        ],
+        ids=["dim-above-table", "dim-zero", "count-above-2**30"],
+    )
+    def test_out_of_range_input_raises_before_allocating(self, dim, count, bad):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=bad):
+                generate_candidates(dim, None, count, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPropose:

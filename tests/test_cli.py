@@ -431,6 +431,16 @@ class TestCommands:
         assert "total cost budget" in record["message"]
         assert evaluations == []
 
+    def test_candidate_count_above_2_to_the_30_fails_before_evaluating(
+        self, tmp_path, capsys, evaluations
+    ):
+        argv = ["run", "--candidates", "1073741825", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "got 1073741825" in record["message"]
+        assert evaluations == []
+
 
 class TestMalformedTraces:
     @staticmethod

@@ -1,6 +1,9 @@
 """Optimization-loop tests: budgets, determinism, traces, failures."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -64,6 +67,7 @@ class TestRunConfigChecks:
         [
             ("cost_model", "bogus"),
             ("candidate_count", 0),
+            ("candidate_count", acq_mod.MAX_CANDIDATE_COUNT + 1),
             ("init_design_size", 0),
             ("init_design_size", -2),
         ],
@@ -564,3 +568,24 @@ class TestTabularRuns:
         for record in trace.records:
             assert tuple(record.point) in table_points
         assert sum(not r.failed for r in trace.records) >= 1
+
+
+class TestImports:
+    def test_a_run_never_imports_scipy_stats(self):
+        # A fresh interpreter: this test process has scipy.stats loaded already.
+        code = (
+            "import sys\n"
+            "import paretobo, paretobo.cli\n"
+            "from paretobo.bench import ExpLinear, make_synthetic\n"
+            "from paretobo.engine import Iterations, RunConfig, run\n"
+            "problem = make_synthetic('branin', ExpLinear(coefficients=(1.0, 0.5)), seed=0)\n"
+            "trace = run(problem, RunConfig(seed=3, budget=Iterations(9), candidate_count=64))\n"
+            "assert len(trace) == 9\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
