@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -469,32 +469,32 @@ def propose(
     return select(kind, cands, spent)
 
 
-# Encoded name of each acquisition kind; its other keys are the class's fields.
-_KIND_CLASSES: dict[str, type] = {
-    "ei": EI,
-    "eipu": EIpu,
-    "ei_alpha": EIAlpha,
-    "ei_cool": EICool,
-    "cei": CEI,
+# Each kind's encoded name, then the names its CLI notation accepts; the
+# first CLI name also starts its compact id. The encoding's other keys, and
+# the values after a CLI name, are the class's fields in order.
+KINDS: dict[type, tuple[str, tuple[str, ...]]] = {
+    EI: ("ei", ("ei",)),
+    EIpu: ("eipu", ("eipu",)),
+    EIAlpha: ("ei_alpha", ("alpha", "ei-alpha", "ei_alpha")),
+    EICool: ("ei_cool", ("ei-cool", "ei_cool", "cool")),
+    CEI: ("cei", ("cei",)),
 }
-_KIND_NAMES = {cls: name for name, cls in _KIND_CLASSES.items()}
 
 
 def kind_to_dict(kind: AcquisitionKind) -> dict:
     """JSON-friendly encoding of an acquisition kind."""
-    if type(kind) not in _KIND_NAMES:
-        raise ConfigError(f"unknown acquisition kind {kind!r}")
-    return {"kind": _KIND_NAMES[type(kind)], **asdict(kind)}
+    return {"kind": KINDS[type(kind)][0], **asdict(kind)}
 
 
 def kind_from_dict(payload: dict) -> AcquisitionKind:
     """Inverse of :func:`kind_to_dict`."""
-    fields = dict(payload)
-    cls = _KIND_CLASSES.get(fields.pop("kind", None))
+    values = dict(payload)
+    name = values.pop("kind", None)
+    cls = next((cls for cls, (code, _) in KINDS.items() if code == name), None)
     if cls is None:
         raise ConfigError(f"unknown acquisition kind {payload!r}")
     try:
-        return cls(**fields)
+        return cls(**values)
     except TypeError as err:
         raise ConfigError(f"bad acquisition fields {payload!r}: {err}") from None
 
@@ -502,50 +502,27 @@ def kind_from_dict(payload: dict) -> AcquisitionKind:
 def parse_kind(text: str) -> AcquisitionKind:
     """Parse CLI notation: ei, eipu, alpha:0.5, cei:0.25, ei-cool[:TOTAL[:INIT]].
 
-    Any bad notation or parameter is a ConfigError naming ``text``.
+    The values after the name are the kind's fields, in order. Any bad
+    notation or parameter is a ConfigError naming ``text``.
     """
     name, *parts = text.strip().lower().split(":")
+    cls = next((cls for cls, (_, cli) in KINDS.items() if name in cli), None)
     try:
-        return _kind_of(name, [float(v) for v in parts])
-    except ValueError as err:  # ConfigError included
+        if cls is None:
+            raise ConfigError("unknown acquisition kind")
+        return cls(*[float(v) for v in parts])
+    except (ValueError, TypeError) as err:  # ConfigError included
         raise ConfigError(f"acquisition {text!r}: {err}") from None
 
 
-def _kind_of(name: str, values: list[float]) -> AcquisitionKind:
-    if name in ("ei", "eipu"):
-        if values:
-            raise ConfigError(f"{name} takes no parameters")
-        return EI() if name == "ei" else EIpu()
-    if name in ("alpha", "ei-alpha", "ei_alpha"):
-        if len(values) != 1:
-            raise ConfigError("expected alpha:<value>")
-        return EIAlpha(alpha=values[0])
-    if name == "cei":
-        if len(values) != 1:
-            raise ConfigError("expected cei:<lambda>")
-        return CEI(lam=values[0])
-    if name in ("ei-cool", "ei_cool", "cool"):
-        if len(values) > 2:
-            raise ConfigError("expected ei-cool[:TOTAL[:INIT]]")
-        total = values[0] if len(values) > 0 else None
-        init = values[1] if len(values) > 1 else None
-        return EICool(total_budget=total, init_budget=init)
-    raise ConfigError("unknown acquisition kind")
-
-
 def kind_id(kind: AcquisitionKind) -> str:
-    """Compact identifier used in file names and tables."""
-    if isinstance(kind, EI):
-        return "ei"
-    if isinstance(kind, EIpu):
-        return "eipu"
-    if isinstance(kind, EIAlpha):
-        return f"alpha{kind.alpha:g}"
-    if isinstance(kind, EICool):
-        return "ei-cool"
-    if isinstance(kind, CEI):
-        return f"cei{kind.lam:g}"
-    raise ConfigError(f"unknown acquisition kind {kind!r}")
+    """Compact identifier used in file names and tables.
+
+    The kind's first CLI name, then the values of its fields that have no
+    default: ``alpha0.3``, ``cei0.5``, and plain ``ei-cool``.
+    """
+    values = [getattr(kind, f.name) for f in fields(kind) if f.default is MISSING]
+    return KINDS[type(kind)][1][0] + "".join(f"{v:g}" for v in values)
 
 
 def implied_alpha(sel: SelectionResult) -> float | None:

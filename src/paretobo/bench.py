@@ -135,12 +135,25 @@ OBJECTIVES = _objective_registry()
 # ---------------------------------------------------------------------------
 
 
+def _check_range(surface, low: float, high: float) -> None:
+    """Raise unless a surface's least and greatest cost are positive and finite."""
+    if not (0.0 < low and high < math.inf):
+        raise ConfigError(f"{surface!r} costs {low} to {high}; both must be positive and finite")
+
+
 @dataclass(frozen=True)
 class ExpLinear:
     """cost(u) = exp(bias + coefficients . u)."""
 
     coefficients: tuple[float, ...]
     bias: float = 0.0
+
+    def __post_init__(self):
+        # The exponent's ends on the unit cube: bias + sum(min(c, 0)), bias + sum(max(c, 0)).
+        c = np.asarray(self.coefficients, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = np.exp(self.bias + np.array([np.minimum(c, 0).sum(), np.maximum(c, 0).sum()]))
+        _check_range(self, *ends)
 
     def __call__(self, u: np.ndarray) -> float:
         return math.exp(self.bias + float(np.dot(self.coefficients, u)))
@@ -157,6 +170,7 @@ class _AnchoredCost:
     def __post_init__(self):
         if self.contrast <= 1:
             raise ConfigError(f"contrast must exceed 1, got {self.contrast}")
+        _check_range(self, self.base, self.base * self.contrast)
 
     def _fraction(self, u: np.ndarray) -> float:
         anchor = np.asarray(self.anchor)
@@ -180,15 +194,6 @@ class CheapOptimum(_AnchoredCost):
 
 
 CostSurface = ExpLinear | ExpensiveOptimum | CheapOptimum
-
-
-def probe_positive(surface, dim: int, n: int = 10_000, seed: int = 0) -> None:
-    """Raise unless the surface is strictly positive on a quasi-random probe."""
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(0.0, 1.0, size=(n, dim))
-    for u in points:
-        if not surface(u) > 0:
-            raise ConfigError(f"cost surface {surface} not strictly positive at {u}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +240,10 @@ def make_synthetic(
     d = len(obj.space)
     if cost is None:
         cost = ExpLinear(coefficients=(3.0 / d,) * d)
+    if not isinstance(cost, CostSurface):
+        raise ConfigError(f"unknown cost surface {cost!r}")
     if isinstance(cost, _AnchoredCost) and not cost.anchor:
         cost = replace(cost, anchor=tuple(obj.minimizer_unit))
-    probe_positive(cost, d, n=2048, seed=seed)
     rng = np.random.default_rng(seed)
 
     def evaluate(u: np.ndarray) -> tuple[float, float]:

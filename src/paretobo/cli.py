@@ -38,8 +38,6 @@ from .bench import (
     BlackBox,
     CheapOptimum,
     ExpensiveOptimum,
-    ExpLinear,
-    OBJECTIVES,
     cost_bench_space,
     cost_suite_split,
     load_tabular,
@@ -74,15 +72,11 @@ BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_SEED = 2024
 MARKER_ALPHAS = (0.0, 0.25, 0.5, 1.0)
 
+# Each suite cost surface; None is make_synthetic's default, ExpLinear((3/d,)*d).
+SUITE_COSTS = {"explinear": None, "expensive": ExpensiveOptimum(), "cheap": CheapOptimum()}
+
 SUITES = {
-    "default": [
-        ("branin", "explinear"),
-        ("branin", "expensive"),
-        ("branin", "cheap"),
-        ("hartmann3", "explinear"),
-        ("hartmann3", "expensive"),
-        ("hartmann3", "cheap"),
-    ],
+    "default": [(obj, cost) for obj in ("branin", "hartmann3") for cost in SUITE_COSTS],
     "expensive": [("branin", "expensive"), ("hartmann3", "expensive")],
     "quick": [("branin", "explinear")],
 }
@@ -96,18 +90,9 @@ def build_problem(problem_id: str, noise_sd: float = 0.0, seed: int = 0) -> Blac
         raise ConfigError(
             f"problem id must look like 'branin/expensive', got {problem_id!r}"
         ) from None
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"unknown objective {objective!r}")
-    d = len(OBJECTIVES[objective].space)
-    if cost_id == "explinear":
-        cost = ExpLinear(coefficients=(3.0 / d,) * d)
-    elif cost_id == "expensive":
-        cost = ExpensiveOptimum(base=1.0, contrast=20.0)
-    elif cost_id == "cheap":
-        cost = CheapOptimum(base=1.0, contrast=20.0)
-    else:
+    if cost_id not in SUITE_COSTS:
         raise ConfigError(f"unknown cost surface {cost_id!r}")
-    return make_synthetic(objective, cost, noise_sd=noise_sd, seed=seed)
+    return make_synthetic(objective, SUITE_COSTS[cost_id], noise_sd=noise_sd, seed=seed)
 
 
 def suite_problems(suite: str) -> list[str]:
@@ -223,8 +208,9 @@ def _run_suite_grid(
     args: argparse.Namespace, methods: list[acq.AcquisitionKind]
 ) -> list[dict]:
     """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids."""
-    _at_least_one("--seeds", [args.seeds])
-    methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a > 0]
+    _check_each("--seeds", [args.seeds])
+    # Alpha 0 is EI, which every grid runs; EIAlpha rejects a negative or NaN alpha.
+    methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a != 0]
     methods += [acq.CEI(l) for l in _parse_numbers(args.lambdas)]
     return run_grid(
         methods,
@@ -382,30 +368,23 @@ def aggregate_ranks(
     for row in manifest:
         key = (row["method"], row["problem"], str(row["seed"]))
         traces[key] = read_trace(row["trace"])
+    for pair in pairs:
+        for method in methods:
+            if (method, *pair) not in traces:
+                raise HarnessError(f"missing trace for {method} on {pair}")
 
     grid_methods = _alpha_grid_methods(methods)
-    minimal_budget: dict[tuple[str, str], float] = {}
-    for pair in pairs:
-        costs = []
-        for method in grid_methods:
-            trace = traces.get((method, *pair))
-            if trace is None:
-                raise HarnessError(f"missing trace for {method} on {pair}")
-            costs.append(trace.total_cost)
-        minimal_budget[pair] = min(costs)
+    minimal_budget = {
+        pair: min(traces[(method, *pair)].total_cost for method in grid_methods)
+        for pair in pairs
+    }
 
     out = []
     for multiple in multiples:
         rank_rows = np.empty((len(pairs), len(methods)))
         for p, pair in enumerate(pairs):
             budget = multiple * minimal_budget[pair]
-            best = []
-            for method in methods:
-                trace = traces.get((method, *pair))
-                if trace is None:
-                    raise HarnessError(f"missing trace for {method} on {pair}")
-                y_star, _ = constrained_best(trace, budget)
-                best.append(y_star)
+            best = [constrained_best(traces[(m, *pair)], budget)[0] for m in methods]
             rank_rows[p] = rankdata(best, method="average")
         for m, method in enumerate(methods):
             ci = bootstrap_ci(rank_rows[:, m])
@@ -424,6 +403,7 @@ def aggregate_ranks(
 
 def cmd_time_alloc(args: argparse.Namespace) -> int:
     multiples = tuple(_parse_numbers(args.multiples))
+    _check_each("--multiples", multiples, lambda v: 0.0 < v < np.inf, "finite and > 0")
     manifest = _run_suite_grid(args, [acq.EI(), acq.EIpu()])
     _write_ranks(manifest, multiples, Path(args.out))
     return 0
@@ -431,6 +411,7 @@ def cmd_time_alloc(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     multiples = tuple(_parse_numbers(args.multiples))
+    _check_each("--multiples", multiples, lambda v: 0.0 < v < np.inf, "finite and > 0")
     manifest = _read_manifest(Path(args.runs))
     _write_ranks(manifest, multiples, Path(args.out or args.runs))
     return 0
@@ -553,9 +534,9 @@ def transfer_loto(seeds: int) -> list[dict]:
 
 
 def cmd_cost_eval(args: argparse.Namespace) -> int:
-    _at_least_one("--seeds", [args.seeds])
+    _check_each("--seeds", [args.seeds])
     train_sizes = _parse_numbers(args.train_sizes, int)
-    _at_least_one("--train-sizes", train_sizes)
+    _check_each("--train-sizes", train_sizes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = None
@@ -713,11 +694,11 @@ def _parse_numbers(text: str, convert=float) -> list:
         raise ConfigError(f"malformed list {text!r}: {err}") from None
 
 
-def _at_least_one(option: str, values: list[int]) -> None:
-    """A ConfigError naming the first of an option's values below 1."""
+def _check_each(option: str, values, ok=lambda v: v >= 1, rule="at least 1") -> None:
+    """A ConfigError naming the first of an option's values that ``ok`` rejects."""
     for value in values:
-        if value < 1:
-            raise ConfigError(f"{option} {str(value)!r}: must be at least 1")
+        if not ok(value):
+            raise ConfigError(f"{option} {str(value)!r}: must be {rule}")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:

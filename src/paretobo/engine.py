@@ -274,8 +274,8 @@ def constrained_best(trace: Trace, tau: float) -> tuple[float, float]:
 
     Returns (+inf, 0) when even the first evaluation exceeds the budget.
     """
-    if tau <= 0:
-        raise ConfigError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise ConfigError(f"tau must be finite and > 0, got {tau}")
     best_y = math.inf
     spend = 0.0
     for record in trace.records:

@@ -527,7 +527,8 @@ def gp_posterior_many(model: GPModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         k = k_star[: block.stop - start]
-        _fill_cross_kernel(X[block], model.train_inputs, params, k, work[:, : len(k)])
+        with np.errstate(over="ignore", invalid="ignore"):  # a bad point is reported below
+            _fill_cross_kernel(X[block], model.train_inputs, params, k, work[:, : len(k)])
         if not np.isfinite(k).all():
             raise NumericError("non-finite cross-kernel entries")
         np.matmul(k, model.alpha, out=mean_std[block])

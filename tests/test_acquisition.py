@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import typing
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from test_acceptance import _oracle_front_ids
 
 from paretobo.acquisition import (
     CEI,
+    AcquisitionKind,
     EI,
     Candidate,
     CandidateSet,
@@ -21,6 +23,7 @@ from paretobo.acquisition import (
     EICool,
     EIpu,
     IMPLIED_ALPHA_GRID,
+    KINDS,
     MAX_CANDIDATE_COUNT,
     SOBOL_MAX_DIM,
     SelectionResult,
@@ -785,6 +788,32 @@ class TestPropose:
         assert cost_floor_for(np.array([1e-5, 3.0])) == 1e-6
 
 
+# Values after each kind's CLI name, in field order: EI-cool may stop early.
+positive_budget = st.floats(min_value=1e-9, max_value=1e12)
+KIND_VALUES = {
+    EI: st.just([]),
+    EIpu: st.just([]),
+    EIAlpha: st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=1),
+    EICool: st.lists(positive_budget, max_size=2),
+    CEI: st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=1),
+}
+
+
+def reference_kind_id(kind):
+    """``kind_id`` as it was written by hand, one branch per kind."""
+    if isinstance(kind, EI):
+        return "ei"
+    if isinstance(kind, EIpu):
+        return "eipu"
+    if isinstance(kind, EIAlpha):
+        return f"alpha{kind.alpha:g}"
+    if isinstance(kind, EICool):
+        return "ei-cool"
+    if isinstance(kind, CEI):
+        return f"cei{kind.lam:g}"
+    raise AssertionError(f"no reference id for {kind!r}")
+
+
 class TestKindCodecs:
     @pytest.mark.parametrize(
         "kind",
@@ -816,6 +845,11 @@ class TestKindCodecs:
             ("alpha:0.3", EIAlpha(0.3)),
             ("cei:0.75", CEI(0.75)),
             ("ei-cool:50", EICool(total_budget=50.0)),
+            ("ei-cool:100:10", EICool(100.0, 10.0)),
+            ("ei-alpha:0.3", EIAlpha(0.3)),
+            ("ei_alpha:0.3", EIAlpha(0.3)),
+            ("ei_cool", EICool()),
+            ("cool", EICool()),
         ],
     )
     def test_parse(self, text, expected):
@@ -828,12 +862,27 @@ class TestKindCodecs:
             "ei:0.5", "eipu:2", "ei-cool:100:10:5",
             "alpha:nan", "alpha:inf", "alpha:-inf", "cei:nan",
             "ei-cool:nan", "ei-cool:inf", "ei-cool:0", "ei-cool:100:nan",
-            "ei-cool:100:-1",
+            "ei-cool:100:-1", "alpha", "cei", "alpha:0.1:0.2", "cool:1:2:3",
         ],
     )
     def test_parse_rejects_garbage(self, text):
         with pytest.raises(ConfigError, match=re.escape(repr(text))):
             parse_kind(text)
+
+    def test_table_names_every_kind(self):
+        assert set(KINDS) == set(typing.get_args(AcquisitionKind))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_every_cli_name_parses_its_fields_in_order(self, data):
+        cls = data.draw(st.sampled_from(list(KINDS)), label="kind")
+        name = data.draw(st.sampled_from(KINDS[cls][1]), label="name")
+        values = data.draw(KIND_VALUES[cls], label="values")
+        kind = cls(*values)
+        text = "".join([name, *(f":{v!r}" for v in values)])
+        assert parse_kind(text) == kind
+        assert parse_kind(text.upper()) == kind
+        assert kind_id(kind) == reference_kind_id(kind)
 
     def test_ids_unique(self):
         kinds = [EI(), EIpu(), EIAlpha(0.1), EIAlpha(1.0), CEI(0.5)]

@@ -13,7 +13,6 @@ from paretobo.bench import (
     OBJECTIVES,
     load_tabular,
     make_synthetic,
-    probe_positive,
 )
 from paretobo.errors import ConfigError, DataError, OutOfTableError
 from paretobo.space import from_unit
@@ -87,11 +86,33 @@ class TestCostSurfaces:
         ],
     )
     def test_strictly_positive_on_probe(self, surface, dim):
-        probe_positive(surface, dim, n=10_000, seed=3)
+        rng = np.random.default_rng(3)
+        for u in rng.uniform(0.0, 1.0, size=(10_000, dim)):
+            assert 0.0 < surface(u) < math.inf
 
-    def test_nonpositive_surface_rejected(self):
-        with pytest.raises(ConfigError):
-            probe_positive(lambda u: float(u[0]) - 0.5, 1, n=100, seed=0)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExpLinear(coefficients=(800.0, 0.0)),
+            lambda: ExpLinear(coefficients=(-800.0, 0.0)),
+            lambda: ExpLinear(coefficients=(0.0, 0.0), bias=-760.0),
+            lambda: ExpensiveOptimum(base=-1.0),
+            lambda: ExpensiveOptimum(base=math.inf),
+            lambda: ExpensiveOptimum(base=math.nan),
+            lambda: CheapOptimum(base=1e308),
+        ],
+        ids=[
+            "exp-overflow", "exp-underflow", "exp-bias-underflow", "base-negative",
+            "base-inf", "base-nan", "peak-overflow",
+        ],
+    )
+    def test_nonpositive_or_infinite_range_rejected_when_built(self, build):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            build()
+
+    def test_unknown_surface_rejected(self):
+        with pytest.raises(ConfigError, match="unknown cost surface"):
+            make_synthetic("branin", lambda u: 1.0)
 
     def test_contrast_must_exceed_one(self):
         with pytest.raises(ConfigError):

@@ -234,14 +234,14 @@ class TestCommands:
         code = main(
             [
                 "biopt", "--suite", "quick", "--seeds", "2", "--iters", "8",
-                "--alphas", "1", "--lambdas", "", "--candidates", "64",
+                "--alphas", "0,1", "--lambdas", "", "--candidates", "64",
                 "--out", str(out),
             ]
         )
         assert code == 0
         table = read_csv(out / "tradeoff.csv")
         methods = {r["method"] for r in table}
-        assert methods == {"ei", "alpha1"}
+        assert methods == {"ei", "alpha1"}  # alpha 0 is EI, which runs once
         ei_row = next(r for r in table if r["method"] == "ei")
         assert float(ei_row["mean_rel_time_pct"]) == pytest.approx(100.0)
         assert float(ei_row["mean_rel_loss_pct"]) == pytest.approx(0.0)
@@ -440,6 +440,50 @@ class TestCommands:
         assert record["error"] == "ConfigError"
         assert "got 1073741825" in record["message"]
         assert evaluations == []
+
+
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            (["time-alloc", "--multiples", "0,1"], "0.0"),
+            (["time-alloc", "--multiples", "1,-5"], "-5.0"),
+            (["rank", "--runs", "{tmp}", "--multiples", "nan,inf"], "nan"),
+            (["rank", "--runs", "{tmp}", "--multiples", "1,inf"], "inf"),
+        ],
+        ids=["time-alloc-zero", "time-alloc-negative", "rank-nan", "rank-inf"],
+    )
+    def test_bad_multiple_fails_before_any_run_or_trace_read(
+        self, tmp_path, capsys, evaluations, argv, bad
+    ):
+        # rank's manifest names a gone trace, an OSError if rank read it first.
+        (tmp_path / "runs.csv").write_text(
+            f"method,problem,seed,trace\nei,p,0,{tmp_path}/gone.jsonl\n"
+        )
+        grid = ["--suite", "quick", "--seeds", "1", "--iters", "6", "--candidates", "16"]
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if argv[0] == "time-alloc":
+            argv += grid
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"--multiples {bad!r}" in record["message"]
+        assert evaluations == []
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "alphas,bad", [("-1,0.3", "-1.0"), ("0.3,nan", "nan")], ids=["negative", "nan"]
+    )
+    def test_bad_alpha_fails_before_any_run(self, tmp_path, capsys, evaluations, alphas, bad):
+        argv = [
+            "biopt", "--suite", "quick", "--seeds", "1", "--iters", "6",
+            "--candidates", "16", f"--alphas={alphas}", "--out", str(tmp_path / "x"),
+        ]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"alpha must be finite and >= 0, got {bad}" in record["message"]
+        assert evaluations == []
+        assert not (tmp_path / "x").exists()
 
 
 class TestMalformedTraces:

@@ -437,6 +437,12 @@ class TestConstrainedBest:
         with pytest.raises(ConfigError):
             constrained_best(trace, 0.0)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_rejects_non_finite_tau(self, tau):
+        trace = run(quick_problem(), quick_config())
+        with pytest.raises(ConfigError, match="tau must be finite"):
+            constrained_best(trace, tau)
+
 
 class TestTraceIO:
     def test_round_trip_preserves_records(self, tmp_path):
