@@ -261,10 +261,28 @@ def _first_copy(cands: CandidateSet, ei: float, cost: float) -> int:
     return int(np.argmax((cands.ei == ei) & (cands.cost == cost)))
 
 
-def _selection(
-    cands: CandidateSet, front: CandidateSet, position: int, threshold: float | None
-) -> SelectionResult:
-    """The result that chooses front member ``position``, as its first copy in ``cands``."""
+def cei_select(cands: CandidateSet, lam: float) -> SelectionResult:
+    """``select(CEI(lam), cands)``: the cheapest front member with EI >= (1 - lam) * max EI."""
+    return select(CEI(lam), cands)
+
+
+def select(kind: AcquisitionKind, cands: CandidateSet, spent: float = 0.0) -> SelectionResult:
+    """Apply an acquisition rule to an already-scored candidate set.
+
+    Every rule picks a position on the front, which is ordered by cost, then
+    by falling EI, then by index, and the result is that member's first copy
+    in ``cands``. CEI takes the first member whose EI reaches its threshold.
+    The EI-family rules take the first maximum of ``log EI - alpha log
+    cost``, so ties go to the lower cost, then to the higher EI, then to the
+    lower index.
+    """
+    front = pareto_front(cands)
+    threshold = None
+    if isinstance(kind, CEI):
+        threshold = (1.0 - kind.lam) * float(np.max(front.ei))
+        position = int(np.argmax(front.ei >= threshold))
+    else:
+        position = int(np.argmax(_log_scores(front, _effective_alpha(kind, spent))))
     index = _first_copy(cands, front.ei[position], front.cost[position])
     return SelectionResult(
         chosen=cands[index],
@@ -274,34 +292,6 @@ def _selection(
         threshold=threshold,
         degenerate=bool(np.max(front.ei) <= 0.0),
     )
-
-
-def cei_select(cands: CandidateSet, lam: float) -> SelectionResult:
-    """Cheapest front member with EI >= (1 - lam) * max EI.
-
-    It is the minimum-cost candidate among those over the threshold, with
-    cost ties to the higher EI, then to the lower index.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise ConfigError(f"lambda must be in [0, 1], got {lam}")
-    front = pareto_front(cands)
-    threshold = (1.0 - lam) * float(np.max(front.ei))
-    return _selection(cands, front, int(np.argmax(front.ei >= threshold)), threshold)
-
-
-def select(kind: AcquisitionKind, cands: CandidateSet, spent: float = 0.0) -> SelectionResult:
-    """Apply an acquisition rule to an already-scored candidate set.
-
-    Every rule picks a position on the front, which is ordered by cost, then
-    by falling EI, then by index. The EI-family rules take the first maximum
-    of ``log EI - alpha log cost``, so ties go to the lower cost, then to the
-    higher EI, then to the lower index.
-    """
-    if isinstance(kind, CEI):
-        return cei_select(cands, kind.lam)
-    front = pareto_front(cands)
-    scores = _log_scores(front, _effective_alpha(kind, spent))
-    return _selection(cands, front, int(np.argmax(scores)), None)
 
 
 def generate_candidates(
@@ -446,7 +436,6 @@ def propose(
     kind: AcquisitionKind,
     model: GPModel,
     cost_model,
-    history_points: np.ndarray,
     history_targets: np.ndarray,
     cost_floor: float,
     candidate_count: int,
@@ -456,13 +445,13 @@ def propose(
 ) -> SelectionResult:
     """One acquisition step: generate, score, and select a candidate.
 
+    The local perturbations are of the model's training inputs.
     ``cost_model`` must expose ``predict_unit(points) -> costs`` over unit
     coordinates. Predicted costs are clamped below at ``cost_floor`` (see
     :func:`cost_floor_for`).
     """
-    points = generate_candidates(
-        model.train_inputs.shape[1], history_points, candidate_count, rng, candidate_pool
-    )
+    history = model.train_inputs
+    points = generate_candidates(history.shape[1], history, candidate_count, rng, candidate_pool)
     f_min = float(np.min(history_targets))
     cost_pred = cost_model.predict_unit(points)
     cands = score_candidates(points, model, cost_pred, f_min, cost_floor)

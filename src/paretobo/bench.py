@@ -226,9 +226,10 @@ def make_synthetic(
     """Synthetic black-box: a test objective paired with a cost surface.
 
     ExpensiveOptimum / CheapOptimum surfaces are anchored at the objective's
-    known global minimizer. With noise_sd = 0 the black-box is a pure
-    function; otherwise Gaussian noise from an owned, seeded generator is
-    added to the objective (never to the cost).
+    known global minimizer unless given an anchor; a surface whose dimension
+    is not the objective's is a ConfigError. With noise_sd = 0 the black-box
+    is a pure function; otherwise Gaussian noise from an owned, seeded
+    generator is added to the objective (never to the cost).
     """
     if objective not in OBJECTIVES:
         raise ConfigError(
@@ -244,6 +245,9 @@ def make_synthetic(
         raise ConfigError(f"unknown cost surface {cost!r}")
     if isinstance(cost, _AnchoredCost) and not cost.anchor:
         cost = replace(cost, anchor=tuple(obj.minimizer_unit))
+    cost_dim = len(cost.coefficients if isinstance(cost, ExpLinear) else cost.anchor)
+    if cost_dim != d:
+        raise ConfigError(f"{cost!r} is {cost_dim}-dimensional; {objective} is {d}-dimensional")
     rng = np.random.default_rng(seed)
 
     def evaluate(u: np.ndarray) -> tuple[float, float]:

@@ -207,13 +207,16 @@ def run_grid(
 def _run_suite_grid(
     args: argparse.Namespace, methods: list[acq.AcquisitionKind]
 ) -> list[dict]:
-    """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids."""
+    """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids.
+
+    A method listed twice runs once, where it is first listed.
+    """
     _check_each("--seeds", [args.seeds])
     # Alpha 0 is EI, which every grid runs; EIAlpha rejects a negative or NaN alpha.
     methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a != 0]
     methods += [acq.CEI(l) for l in _parse_numbers(args.lambdas)]
     return run_grid(
-        methods,
+        list(dict.fromkeys(methods)),
         suite_problems(args.suite),
         args.seeds,
         Path(args.out),
@@ -245,12 +248,10 @@ def _read_manifest(out_dir: Path) -> list[dict]:
 
 def bootstrap_ci(values: np.ndarray) -> tuple[float, float]:
     """Seeded percentile bootstrap 95% interval of the mean of 1-D ``values``."""
-    rng = np.random.default_rng(BOOTSTRAP_SEED)
     values = np.asarray(values)
     n = values.shape[0]
-    stats = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        stats[b] = np.mean(values[rng.integers(0, n, size=n)])
+    draws = np.random.default_rng(BOOTSTRAP_SEED).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
+    stats = np.mean(values[draws], axis=1)
     return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
 
 
@@ -591,24 +592,14 @@ def cmd_pareto_trace(args: argparse.Namespace) -> int:
 
     bo_records = [r for r in trace.records if r.phase == "bo" and r.front is not None]
     front_rows, marker_rows, persistence_rows, alpha_rows = [], [], [], []
-    for i, record in enumerate(bo_records):
-        next_rec = bo_records[i + 1] if i + 1 < len(bo_records) else None
-        flags = (
-            next_rec.persistence.flags
-            if next_rec is not None and next_rec.persistence is not None
-            else None
-        )
-        front = zip(record.front.ei.tolist(), record.front.cost.tolist())
-        for j, (ei, cost) in enumerate(front):
+    for record, after in zip(bo_records, bo_records[1:] + [None]):
+        # The next record's persistence flags are this very front's, in order.
+        stat = after.persistence if after is not None else None
+        flags = [""] * len(record.front) if stat is None else [int(f) for f in stat.flags]
+        front = zip(record.front.ei.tolist(), record.front.cost.tolist(), flags)
+        for ei, cost, flag in front:
             front_rows.append(
-                {
-                    "iteration": record.iteration,
-                    "ei": ei,
-                    "cost": cost,
-                    "survived_flag": ""
-                    if flags is None or j >= len(flags)
-                    else int(flags[j]),
-                }
+                {"iteration": record.iteration, "ei": ei, "cost": cost, "survived_flag": flag}
             )
         marker_rows.extend(_marker_rows(record))
         if record.persistence is not None:
@@ -714,6 +705,8 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--suite", default="default", help="problem suite name")
     parser.add_argument("--seeds", type=int, default=20, help="seeds per problem")
     parser.add_argument("--jobs", type=int, default=1, help="concurrent runs")
+    parser.add_argument("--iters", type=int, default=50)
+    parser.add_argument("--alphas", default="0.1,0.3,1", help="EI_alpha grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,8 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("biopt", help="fixed-iteration trade-off grid")
     _add_run_options(p)
     _add_grid_options(p)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--alphas", default="0.1,0.3,1", help="EI_alpha grid")
     p.add_argument("--lambdas", default="", help="CEI lambda grid")
     p.add_argument("--eipu", action="store_true", help="include the EIpu baseline")
     p.set_defaults(func=cmd_biopt)
@@ -746,8 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("time-alloc", help="average ranks at budget multiples")
     _add_run_options(p)
     _add_grid_options(p)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--alphas", default="0.1,0.3,1")
     p.add_argument("--lambdas", default="0.5")
     p.add_argument("--multiples", default="1,5,10,20")
     p.set_defaults(func=cmd_time_alloc)

@@ -412,7 +412,6 @@ def run(
             kind,
             model,
             cost_model,
-            history_points=X,
             history_targets=ys,
             cost_floor=cost_floor,
             candidate_count=cfg.candidate_count,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Literal, Sequence
 
@@ -116,32 +116,19 @@ class SearchSpace:
         return [d.name for d in self.dims]
 
     def to_dict(self) -> dict:
-        return {
-            "dimensions": [
-                {
-                    "name": d.name,
-                    "kind": d.kind,
-                    "lower": d.lower,
-                    "upper": d.upper,
-                    "scale": d.scale,
-                }
-                for d in self.dims
-            ]
-        }
+        return {"dimensions": [asdict(d) for d in self.dims]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SearchSpace":
-        """Inverse of :meth:`to_dict`; any malformed payload is a ConfigError."""
+        """Inverse of :meth:`to_dict`; any malformed payload is a ConfigError.
+
+        Each entry holds :class:`Dimension`'s fields, and a key that is not
+        one of them is an error.
+        """
         try:
             dims = [
-                Dimension(
-                    name=entry["name"],
-                    kind=entry["kind"],
-                    lower=float(entry["lower"]),
-                    upper=float(entry["upper"]),
-                    scale=entry.get("scale", "linear"),
-                )
-                for entry in payload["dimensions"]
+                Dimension(**{**e, "lower": float(e["lower"]), "upper": float(e["upper"])})
+                for e in payload["dimensions"]
             ]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed space config: {exc}") from exc

@@ -396,6 +396,21 @@ class TestCEISelect:
         with pytest.raises(UsageError):
             cei_select(cset([]), 0.5)
 
+    def test_is_select_with_cei(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            cands = random_candidates(rng, int(rng.integers(1, 60)), duplicates=True)
+            lam = float(rng.uniform())
+            got, want = cei_select(cands, lam), select(CEI(lam), cands)
+            assert got.chosen_index == want.chosen_index
+            assert (got.threshold, got.degenerate) == (want.threshold, want.degenerate)
+            assert pairs(got.front) == pairs(want.front)
+
+    @pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+    def test_bad_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match=re.escape(f"lambda must be in [0, 1], got {lam}")):
+            cei_select(cset([(1.0, 1.0)]), lam)
+
 
 class TestSelect:
     def test_alpha_zero_equals_ei(self):
@@ -757,7 +772,7 @@ class TestPropose:
             rng, X, y, model, cost_model = self.toy_setup(seed)
             for kind in (EI(), EIpu(), EIAlpha(0.3), CEI(0.5)):
                 sel = propose(
-                    kind, model, cost_model, X, y, cost_floor=0.01,
+                    kind, model, cost_model, y, cost_floor=0.01,
                     candidate_count=64, rng=rng,
                 )
                 scored = sel.candidates
@@ -778,7 +793,7 @@ class TestPropose:
         floor = cost_floor_for(np.array([2.0, 3.0]))
         assert floor == 0.02  # 0.01 * min cost
         sel = propose(
-            EIpu(), model, TinyCost(), X, y, cost_floor=floor,
+            EIpu(), model, TinyCost(), y, cost_floor=floor,
             candidate_count=32, rng=rng,
         )
         assert np.all(sel.candidates.cost == floor)

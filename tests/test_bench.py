@@ -110,6 +110,19 @@ class TestCostSurfaces:
         with pytest.raises(ConfigError, match="positive and finite"):
             build()
 
+    @pytest.mark.parametrize(
+        "objective,surface",
+        [
+            ("branin", ExpLinear(coefficients=(1.0, 1.0, 1.0))),
+            ("hartmann3", ExpLinear(coefficients=(1.0, 1.0))),
+            ("branin", CheapOptimum(anchor=(0.5, 0.5, 0.5))),
+            ("hartmann3", ExpensiveOptimum(anchor=(0.5, 0.5))),
+        ],
+    )
+    def test_surface_of_another_dimension_rejected(self, objective, surface):
+        with pytest.raises(ConfigError, match="dimensional"):
+            make_synthetic(objective, surface)
+
     def test_unknown_surface_rejected(self):
         with pytest.raises(ConfigError, match="unknown cost surface"):
             make_synthetic("branin", lambda u: 1.0)

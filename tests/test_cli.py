@@ -201,6 +201,21 @@ class TestBootstrap:
         lo, hi = bootstrap_ci(values)
         assert lo == hi == 3.0
 
+    @staticmethod
+    def loop_oracle(values):
+        """One resample per draw, as the interval was first computed."""
+        rng = np.random.default_rng(cli.BOOTSTRAP_SEED)
+        n = values.shape[0]
+        stats = np.empty(cli.BOOTSTRAP_RESAMPLES)
+        for b in range(cli.BOOTSTRAP_RESAMPLES):
+            stats[b] = np.mean(values[rng.integers(0, n, size=n)])
+        return float(np.percentile(stats, 2.5)), float(np.percentile(stats, 97.5))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 39, 100, 101, 1001])
+    def test_one_draw_matches_the_loop_bit_for_bit(self, n):
+        values = np.random.default_rng(n).lognormal(size=n)
+        assert bootstrap_ci(values) == self.loop_oracle(values)
+
 
 class TestCommands:
     def test_run_command_writes_trace_and_summary(self, tmp_path):
@@ -247,6 +262,20 @@ class TestCommands:
         assert float(ei_row["mean_rel_loss_pct"]) == pytest.approx(0.0)
         # traces are on disk, one per (method, problem, seed)
         assert len(read_csv(out / "runs.csv")) == 4
+
+    def test_repeated_grid_entries_run_once(self, tmp_path):
+        out = tmp_path / "biopt"
+        code = main(
+            [
+                "biopt", "--suite", "quick", "--seeds", "1", "--iters", "6",
+                "--alphas", "0.3,0.3", "--lambdas", "0.5,0.5", "--candidates", "16",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert [r["method"] for r in read_csv(out / "runs.csv")] == ["alpha0.3", "cei0.5", "ei"]
+        runs = {r["method"]: r["runs"] for r in read_csv(out / "tradeoff.csv")}
+        assert runs == {"alpha0.3": "1", "cei0.5": "1", "ei": "1"}
 
     def test_rank_command_reuses_stored_traces(self, tmp_path):
         out = tmp_path / "grid"

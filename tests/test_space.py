@@ -1,5 +1,6 @@
 """Unit-cube mapping tests for search spaces."""
 
+import json
 import math
 
 import numpy as np
@@ -185,6 +186,32 @@ class TestSerialization:
         space.save(path)
         loaded = SearchSpace.load(path)
         assert loaded.to_dict() == space.to_dict()
+
+    def test_saved_bytes_round_trip(self, tmp_path):
+        # Each dimension is written as its fields, in field order.
+        space = xgboost_space()
+        expected = {
+            "dimensions": [
+                {"name": d.name, "kind": d.kind, "lower": d.lower, "upper": d.upper,
+                 "scale": d.scale}
+                for d in space.dims
+            ]
+        }
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        space.save(first)
+        assert first.read_text() == json.dumps(expected, indent=2) + "\n"
+        loaded = SearchSpace.load(first)
+        assert loaded.dims == space.dims
+        loaded.save(second)
+        assert SearchSpace.load(second).dims == space.dims
+        # Bounds load as floats, so a reloaded space saves the same bytes again.
+        SearchSpace.load(second).save(first)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_unknown_key_is_named(self):
+        entry = {"name": "x", "kind": "continuous", "lower": 1.0, "upper": 2.0, "scal": "log"}
+        with pytest.raises(ConfigError, match="scal"):
+            SearchSpace.from_dict({"dimensions": [entry]})
 
     def test_malformed_config(self, tmp_path):
         with pytest.raises(ConfigError):
