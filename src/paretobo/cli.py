@@ -209,14 +209,24 @@ def _run_suite_grid(
 ) -> list[dict]:
     """``run_grid`` of ``methods`` plus the options' EI_alpha and CEI grids.
 
-    A method listed twice runs once, where it is first listed.
+    A method listed twice runs once, where it is first listed. Two distinct
+    methods with one ``kind_id``, which names their traces and table rows,
+    are a ConfigError.
     """
     _check_each("--seeds", [args.seeds])
     # Alpha 0 is EI, which every grid runs; EIAlpha rejects a negative or NaN alpha.
     methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a != 0]
     methods += [acq.CEI(l) for l in _parse_numbers(args.lambdas)]
+    methods = list(dict.fromkeys(methods))
+    by_id: dict[str, acq.AcquisitionKind] = {}
+    for kind in methods:
+        first = by_id.setdefault(acq.kind_id(kind), kind)
+        if first != kind:
+            raise ConfigError(
+                f"{first} and {kind} share the method id {acq.kind_id(kind)!r}"
+            )
     return run_grid(
-        list(dict.fromkeys(methods)),
+        methods,
         suite_problems(args.suite),
         args.seeds,
         Path(args.out),

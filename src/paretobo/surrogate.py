@@ -10,16 +10,24 @@ maximization of the log marginal likelihood, parameterized as
 mean_constant]`` with analytic gradients. A fit warm-started from a previous
 model runs its random starts only when that warm start has gone stale, and
 stops L-BFGS-B from the warm start at a looser tolerance than the others.
+
+L-BFGS-B is scipy's compiled routine, driven here through its private entry
+point ``scipy.optimize._lbfgsb.setulb`` rather than through
+``scipy.optimize.minimize``, whose per-evaluation wrappers cost about as much
+as a small MLL evaluation. ``minimize`` below reproduces scipy's iterates and
+evaluation count bit for bit; ``tests/test_surrogate.py`` checks it against
+scipy's own ``minimize`` and fails if a scipy release changes ``setulb``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb
 
 from .errors import ConfigError, DataError, ModelError, NumericError
 
@@ -34,10 +42,24 @@ MEAN_BOUNDS = (-5.0, 5.0)
 # L-BFGS-B iteration cap per start of a hyperparameter fit.
 LBFGS_MAXITER = 60
 
+# scipy's L-BFGS-B defaults: relative reduction of f per iteration below
+# which it stops (``ftol``), projected-gradient tolerance, number of stored
+# corrections and line-search steps per iteration.
+LBFGS_FTOL = 2.2204460492503131e-09
+LBFGS_PGTOL = 1e-5
+LBFGS_MEMORY = 10
+LBFGS_MAXLS = 20
+
+# ``setulb``'s task codes: evaluate f and g at x, a new iterate, and stop
+# because the iteration limit is reached.
+_TASK_FG, _TASK_NEW_X = 3, 1
+_TASK_STOP_MAXITER = (5, 504)
+
 # Relative MLL improvement per iteration below which L-BFGS-B from a warm
 # start stops (scipy's ``ftol``). A warm start is usually near its optimum,
 # where scipy's default of 2.2e-9 spends many evaluations on gains far below
-# a nat; the default start and the random starts keep that default.
+# a nat; the default start and the random starts keep that default
+# (LBFGS_FTOL).
 WARM_LBFGS_FTOL = 1e-6
 
 # A warm start is stale, so a fit runs its random starts too, when L-BFGS-B
@@ -68,6 +90,7 @@ _POTRF, _POTRS, _TRTRI, _TRTRS = get_lapack_funcs(
     ("potrf", "potrs", "trtri", "trtrs"), dtype=np.float64
 )
 (_SYRK,) = get_blas_funcs(("syrk",), dtype=np.float64)
+_SETULB = _lbfgsb.setulb
 
 
 @dataclass(frozen=True)
@@ -361,6 +384,72 @@ def _mll_value_and_grad(
     return mll, grad
 
 
+class LBFGSResult(NamedTuple):
+    x: np.ndarray
+    nfev: int
+
+
+def minimize(
+    fun, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, maxiter: int, ftol: float
+) -> LBFGSResult:
+    """Minimize ``fun`` over the box ``[lo, hi]`` by L-BFGS-B from ``x0``.
+
+    ``fun(x)`` returns the value and the gradient at ``x``; ``x0`` must lie in
+    the box. The iterates and evaluations are those of
+    ``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=..., options={"maxiter": maxiter, "ftol": ftol})``: ``fun`` runs
+    once at ``x0``, then only when ``setulb`` asks for f and g at a point
+    other than the last one evaluated, and always on a copy of the point.
+    scipy's cap of 15000 evaluations is left out: an iteration makes at most
+    two line searches of ``LBFGS_MAXLS`` steps, so the cap cannot bind below
+    350 iterations. Returns the last iterate and the number of evaluations.
+    ``setulb`` checks its arrays' types but not their lengths, so bounds or a
+    gradient of another length than ``x0`` are a DataError.
+    """
+    n = len(x0)
+    if np.shape(lo) != (n,) or np.shape(hi) != (n,):
+        raise DataError(
+            f"bounds of shapes {np.shape(lo)}, {np.shape(hi)} for {n} variables"
+        )
+
+    def evaluate(point: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = fun(point.copy())
+        if np.shape(grad) != (n,):
+            raise DataError(f"gradient of shape {np.shape(grad)} for {n} variables")
+        return value, grad
+
+    m = LBFGS_MEMORY
+    x = np.array(x0, dtype=np.float64)
+    x_evaluated = x.copy()
+    f, g = evaluate(x)
+    nfev = 1
+    nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every variable
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task = np.zeros((2, 2), dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    iterations = 0
+    while True:
+        _SETULB(
+            m, x, lo, hi, nbd, f, g, factr, LBFGS_PGTOL, wa, iwa, task, lsave, isave,
+            dsave, LBFGS_MAXLS, ln_task,
+        )
+        if task[0] == _TASK_FG:
+            if not np.array_equal(x, x_evaluated):
+                x_evaluated = x.copy()
+                f, g = evaluate(x)
+                nfev += 1
+        elif task[0] == _TASK_NEW_X:
+            iterations += 1
+            if iterations >= maxiter:
+                task[:] = _TASK_STOP_MAXITER
+        else:
+            return LBFGSResult(x, nfev)
+
+
 def _default_start(d: int) -> np.ndarray:
     params = KernelParams(
         signal_variance=1.0,
@@ -406,7 +495,7 @@ def gp_fit(
     starts are random and are drawn from ``rng`` whether they run or not;
     ``restarts`` below 1 is a ConfigError. L-BFGS-B from a warm start stops
     at a relative MLL gain per iteration of ``WARM_LBFGS_FTOL``; every other
-    start runs at scipy's default tolerance.
+    start runs at scipy's default, ``LBFGS_FTOL``.
 
     Without a warm start every start runs. With one, the random starts run
     only when it is stale: L-BFGS-B from it raised the MLL by more than
@@ -432,8 +521,8 @@ def gp_fit(
     work = _MLLWorkspace(n)
 
     # Every value computed, keyed by the point's bytes, so that start and end
-    # points are not evaluated again. (``result.fun`` is not always the value
-    # at ``result.x``.)
+    # points are not evaluated again. (L-BFGS-B's last evaluation is not
+    # always at the point it returns.)
     seen: dict[bytes, float] = {}
 
     def neg_mll(theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -458,30 +547,19 @@ def gp_fit(
     for _ in range(restarts - 1):
         starts.append(_random_start(d, rng))
 
-    bounds = (
-        [LOG_SIGNAL_BOUNDS]
-        + [LOG_LENGTHSCALE_BOUNDS] * d
-        + [LOG_NOISE_BOUNDS, MEAN_BOUNDS]
-    )
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    # Contiguous rows, as setulb requires.
+    lo, hi = np.array(
+        [LOG_SIGNAL_BOUNDS, *[LOG_LENGTHSCALE_BOUNDS] * d, LOG_NOISE_BOUNDS, MEAN_BOUNDS]
+    ).T.copy()
 
     evaluated: list[tuple[float, np.ndarray]] = []
     init_mlls: list[float] = []
     nfev: list[int] = []
     for theta0 in starts:
         theta0 = np.clip(theta0, lo, hi)
-        options = {"maxiter": LBFGS_MAXITER}
-        if warm_start is not None and not init_mlls:
-            options["ftol"] = WARM_LBFGS_FTOL
-        result = minimize(
-            neg_mll,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options=options,
-        )
+        warm = warm_start is not None and not init_mlls
+        ftol = WARM_LBFGS_FTOL if warm else LBFGS_FTOL
+        result = minimize(neg_mll, theta0, lo, hi, LBFGS_MAXITER, ftol)
         init_mlls.append(mll_at(theta0))
         nfev.append(result.nfev)
         evaluated.append((init_mlls[-1], theta0))

@@ -277,6 +277,30 @@ class TestCommands:
         runs = {r["method"]: r["runs"] for r in read_csv(out / "tradeoff.csv")}
         assert runs == {"alpha0.3": "1", "cei0.5": "1", "ei": "1"}
 
+    @pytest.mark.parametrize(
+        "flag,values,first,second",
+        [
+            ("--alphas", "0.3,0.3000001", "alpha=0.3)", "alpha=0.3000001)"),
+            ("--lambdas", "0.5,0.50000001", "lam=0.5)", "lam=0.50000001)"),
+        ],
+        ids=["alphas", "lambdas"],
+    )
+    def test_distinct_grid_entries_with_one_id_rejected_before_any_run(
+        self, tmp_path, capsys, flag, values, first, second
+    ):
+        out = tmp_path / "biopt"
+        code = main(
+            [
+                "biopt", "--suite", "quick", "--seeds", "1", "--iters", "6",
+                flag, values, "--candidates", "16", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert first in error["message"] and second in error["message"]
+        assert not out.exists()
+
     def test_rank_command_reuses_stored_traces(self, tmp_path):
         out = tmp_path / "grid"
         main(

@@ -274,6 +274,33 @@ class TestTracedLayers:
         assert callable(diagnostics_mod.gp_posterior_many)
         assert callable(engine_mod.Trace.write)
 
+    def test_no_gp_fit_goes_through_scipy_minimize(self, monkeypatch):
+        # `surrogate.minimize` drives L-BFGS-B itself; scipy's wrapper costs
+        # tens of microseconds per MLL evaluation.
+        import scipy.optimize
+        import scipy.optimize._lbfgsb_py
+        import scipy.optimize._minimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GP fit called scipy's L-BFGS-B wrapper")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        for module in (scipy.optimize._minimize, scipy.optimize._lbfgsb_py):
+            monkeypatch.setattr(module, "_minimize_lbfgsb", refuse)
+        starts = []
+        real_minimize = surrogate_mod.minimize
+
+        def counting_minimize(*args):
+            starts.append(args)
+            return real_minimize(*args)
+
+        monkeypatch.setattr(surrogate_mod, "minimize", counting_minimize)
+        cfg = quick_config(acquisition=CEI(0.5), cost_model="gplv3")
+        trace = run(build_problem("branin/expensive"), cfg)
+        assert len(trace) == 9
+        assert not any(record.failed for record in trace.records)
+        assert len(starts) >= 8  # the objective and cost GPs, 4 BO steps each
+
 
 class TestFailures:
     def test_failed_evaluation_recorded_and_excluded(self):

@@ -1,5 +1,6 @@
 """GP regression tests against direct linear-algebra oracles."""
 
+import inspect
 import math
 import os
 import subprocess
@@ -7,9 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dtrtri
+from scipy.optimize import minimize as scipy_minimize
+from scipy.optimize._lbfgsb_py import _minimize_lbfgsb
 
 import paretobo.surrogate as surrogate_mod
 from paretobo.cli import BLAS_THREAD_VARS
@@ -17,6 +22,8 @@ from paretobo.errors import ConfigError, DataError, NumericError
 from paretobo.surrogate import (
     JITTERS,
     KERNEL_BLOCK_CELLS,
+    LBFGS_FTOL,
+    LBFGS_MAXITER,
     LOG_LENGTHSCALE_BOUNDS,
     LOG_NOISE_BOUNDS,
     LOG_SIGNAL_BOUNDS,
@@ -83,13 +90,13 @@ def direct_mll(model):
 
 @pytest.fixture
 def minimize_calls(monkeypatch):
-    """Each ``surrogate.minimize`` call's options and result, in call order."""
+    """Each ``surrogate.minimize`` call's ftol and result, in call order."""
     calls = []
     real = surrogate_mod.minimize
 
-    def spy(*args, **kwargs):
-        result = real(*args, **kwargs)
-        calls.append((kwargs["options"], result))
+    def spy(fun, x0, lo, hi, maxiter, ftol):
+        result = real(fun, x0, lo, hi, maxiter, ftol)
+        calls.append((ftol, result))
         return result
 
     monkeypatch.setattr(surrogate_mod, "minimize", spy)
@@ -153,6 +160,35 @@ class TestFit:
         assert model.fit_info["restarts"] == len(minimize_calls) == 3
         assert model.fit_info["nfev"] == [result.nfev for _, result in minimize_calls]
         assert all(count > 0 for count in model.fit_info["nfev"])
+
+    def test_each_start_s_nfev_is_its_count_of_mll_evaluations(self, monkeypatch):
+        evaluations = 0
+        per_start = []
+        real_mll = surrogate_mod._mll_value_and_grad
+        real_minimize = surrogate_mod.minimize
+
+        def counting_mll(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return real_mll(*args)
+
+        def counting_minimize(*args):
+            before = evaluations
+            result = real_minimize(*args)
+            per_start.append(evaluations - before)
+            return result
+
+        monkeypatch.setattr(surrogate_mod, "_mll_value_and_grad", counting_mll)
+        monkeypatch.setattr(surrogate_mod, "minimize", counting_minimize)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(size=(12, 2))
+        y = np.sin(3 * X[:, 0]) + X[:, 1]
+        cold = gp_fit(X, y, restarts=3, rng=rng)
+        assert cold.fit_info["nfev"] == per_start
+        stale = build_model(X, y, KernelParams(50.0, np.full(2, 5.0), 0.5, 1.0))
+        warm = gp_fit(X, y, restarts=3, rng=rng, warm_start=stale)
+        assert cold.fit_info["nfev"] + warm.fit_info["nfev"] == per_start
+        assert len(per_start) == 6
 
     def test_accepts_one_dimensional_inputs(self):
         X = np.array([0.1, 0.4, 0.8])
@@ -267,11 +303,11 @@ class TestWarmStartTolerance:
         stale = build_model(X, y, KernelParams(50.0, np.full(3, 5.0), 0.5, 1.0))
         model = gp_fit(X, y, restarts=3, rng=np.random.default_rng(2), warm_start=stale)
         assert model.fit_info["restarts"] == 3
-        options = [opts for opts, _ in minimize_calls]
-        assert len(options) == 6
-        assert all("ftol" not in opts for opts in options[:3])  # the cold fit
-        assert options[3]["ftol"] == WARM_LBFGS_FTOL
-        assert all("ftol" not in opts for opts in options[4:])  # random starts
+        tolerances = [ftol for ftol, _ in minimize_calls]
+        assert len(tolerances) == 6
+        assert tolerances[:3] == [LBFGS_FTOL] * 3  # the cold fit
+        assert tolerances[3] == WARM_LBFGS_FTOL
+        assert tolerances[4:] == [LBFGS_FTOL] * 2  # random starts
 
     def test_warm_start_stops_sooner_and_close_to_a_full_tolerance_run(
         self, monkeypatch
@@ -817,3 +853,128 @@ class TestBlockedPosterior:
         probes[-1, 1] = bad
         with pytest.raises(NumericError, match="non-finite cross-kernel"):
             gp_posterior_many(model, probes)
+
+
+def lbfgs_problem(seed, n, d, failing=None):
+    """gp_fit's objective, the negated MLL, on random data of ``n`` by ``d``.
+
+    Returns the objective, the theta bounds and a generator for starts. With
+    ``failing`` "region", points with log noise variance below log(1e-5)
+    return gp_fit's failure value (1e25 with a zero gradient); with
+    "everywhere", every point does.
+    """
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(size=(n, d))
+    y_std = _standardize(np.sin(3 * X @ rng.normal(size=d)) + 0.1 * rng.normal(size=n))[0]
+    sq = _sq_diffs(X)
+
+    def neg_mll(theta):
+        if failing == "everywhere" or (failing == "region" and theta[1 + d] < math.log(1e-5)):
+            return 1e25, np.zeros_like(theta)
+        mll, grad = _mll_value_and_grad(theta, X, y_std, sq)
+        return -mll, -grad
+
+    lo, hi = np.array(
+        [LOG_SIGNAL_BOUNDS, *[LOG_LENGTHSCALE_BOUNDS] * d, LOG_NOISE_BOUNDS, MEAN_BOUNDS]
+    ).T.copy()
+    return neg_mll, lo, hi, rng
+
+
+def start_for(kind, d, lo, hi, rng):
+    if kind == "default":
+        return _default_start(d)
+    if kind == "random":
+        return _random_start(d, rng)
+    # Wider than the box, so that some coordinates are clipped onto a bound.
+    return np.clip(rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2), lo, hi)
+
+
+class TestLBFGSDriver:
+    """``surrogate.minimize`` against ``scipy.optimize.minimize``'s L-BFGS-B.
+
+    The driver calls scipy's private ``setulb`` in place of ``minimize``; if a
+    scipy release changes that routine or how ``minimize`` drives it, the
+    points evaluated here stop matching.
+    """
+
+    @staticmethod
+    def assert_same_run(fun, x0, lo, hi, maxiter, ftol):
+        """Run both; return scipy's result and the driver's evaluation values."""
+        points = {"driver": [], "scipy": []}
+        values = []
+
+        def recording(side):
+            def evaluate(x):
+                points[side].append(x.tobytes())
+                value, grad = fun(x)
+                if side == "driver":
+                    values.append(value)
+                x[:] = math.nan  # the caller must have passed a copy
+                return value, grad
+
+            return evaluate
+
+        ours = surrogate_mod.minimize(recording("driver"), x0, lo, hi, maxiter, ftol)
+        theirs = scipy_minimize(
+            recording("scipy"),
+            x0,
+            jac=True,
+            method="L-BFGS-B",
+            bounds=list(zip(lo, hi)),
+            options={"maxiter": maxiter, "ftol": ftol},
+        )
+        assert ours.x.tobytes() == theirs.x.tobytes()
+        assert ours.nfev == theirs.nfev == len(points["driver"])
+        assert points["driver"] == points["scipy"]
+        return theirs, values
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        d=st.integers(1, 7),
+        start=st.sampled_from(["default", "random", "clipped"]),
+        ftol=st.sampled_from([LBFGS_FTOL, WARM_LBFGS_FTOL]),
+        maxiter=st.sampled_from([LBFGS_MAXITER, 1, 4]),
+        failing=st.sampled_from([None, "region", "everywhere"]),
+    )
+    def test_same_iterates_as_scipy(self, seed, n, d, start, ftol, maxiter, failing):
+        fun, lo, hi, rng = lbfgs_problem(seed, n, d, failing)
+        self.assert_same_run(fun, start_for(start, d, lo, hi, rng), lo, hi, maxiter, ftol)
+
+    def test_scipy_defaults(self):
+        assert LBFGS_FTOL == 1e7 * np.finfo(float).eps
+        assert inspect.signature(_minimize_lbfgsb).parameters["ftol"].default == LBFGS_FTOL
+        for name, value in (("maxcor", 10), ("gtol", 1e-5), ("maxls", 20)):
+            assert inspect.signature(_minimize_lbfgsb).parameters[name].default == value
+
+    @pytest.mark.parametrize("ftol", [LBFGS_FTOL, WARM_LBFGS_FTOL])
+    def test_a_run_that_stops_at_the_iteration_cap(self, ftol):
+        fun, lo, hi, _ = lbfgs_problem(8, 10, 6)
+        result, _ = self.assert_same_run(
+            fun, _default_start(6), lo, hi, LBFGS_MAXITER, ftol
+        )
+        assert result.nit == LBFGS_MAXITER
+        assert "ITERATIONS REACHED LIMIT" in result.message
+
+    def test_a_run_through_the_failure_value(self):
+        fun, lo, hi, _ = lbfgs_problem(3, 12, 2, failing="region")
+        _, values = self.assert_same_run(
+            fun, _default_start(2), lo, hi, LBFGS_MAXITER, LBFGS_FTOL
+        )
+        assert 1e25 in values and min(values) < 1e25
+
+    def test_a_start_at_the_failure_value_stays_put(self):
+        fun, lo, hi, _ = lbfgs_problem(3, 12, 2, failing="everywhere")
+        x0 = _default_start(2)
+        result, values = self.assert_same_run(fun, x0, lo, hi, LBFGS_MAXITER, LBFGS_FTOL)
+        assert values == [1e25]
+        assert result.x.tobytes() == x0.tobytes()
+
+    def test_lengths_setulb_does_not_check_are_checked(self):
+        x0 = np.full(3, 0.5)
+        box = -np.ones(3), np.ones(3)
+        with pytest.raises(DataError, match="bounds"):
+            surrogate_mod.minimize(lambda x: (0.0, x), x0, box[0][:1], box[1][:1], 5, LBFGS_FTOL)
+        with pytest.raises(DataError, match="gradient"):
+            surrogate_mod.minimize(lambda x: (0.0, x[:1]), x0, *box, 5, LBFGS_FTOL)
