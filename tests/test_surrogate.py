@@ -942,11 +942,15 @@ class TestLBFGSDriver:
         fun, lo, hi, rng = lbfgs_problem(seed, n, d, failing)
         self.assert_same_run(fun, start_for(start, d, lo, hi, rng), lo, hi, maxiter, ftol)
 
-    def test_scipy_defaults(self):
-        assert LBFGS_FTOL == 1e7 * np.finfo(float).eps
-        assert inspect.signature(_minimize_lbfgsb).parameters["ftol"].default == LBFGS_FTOL
-        for name, value in (("maxcor", 10), ("gtol", 1e-5), ("maxls", 20)):
-            assert inspect.signature(_minimize_lbfgsb).parameters[name].default == value
+    def test_constants_are_scipy_s_defaults(self):
+        defaults = inspect.signature(_minimize_lbfgsb).parameters
+        for name, value in (
+            ("ftol", LBFGS_FTOL),
+            ("gtol", surrogate_mod.LBFGS_PGTOL),
+            ("maxcor", surrogate_mod.LBFGS_MEMORY),
+            ("maxls", surrogate_mod.LBFGS_MAXLS),
+        ):
+            assert defaults[name].default == value
 
     @pytest.mark.parametrize("ftol", [LBFGS_FTOL, WARM_LBFGS_FTOL])
     def test_a_run_that_stops_at_the_iteration_cap(self, ftol):
