@@ -209,14 +209,21 @@ def front_indices(eis: np.ndarray, costs: np.ndarray) -> np.ndarray:
 
     A point is on the front when its EI is the largest at its cost and
     exceeds every EI at a strictly lower cost. Duplicates are all kept.
+
+    One stable sort by cost puts each cost group's members in index order,
+    and every front member of a group has the group's largest EI, so the
+    members kept come out by cost, then index, with no sort on EI. That
+    largest EI is ``fmax`` over the group, which skips a NaN EI as sorting
+    on EI would (a NaN is never on the front). A NaN cost sorts last, in a
+    group of its own.
     """
-    order = np.lexsort((-eis, costs))  # stable: equal keys keep index order
+    order = np.argsort(costs, kind="stable")
     e, c = eis[order], costs[order]
     new_group = np.empty(len(c), dtype=bool)
     new_group[0] = True
     np.not_equal(c[1:], c[:-1], out=new_group[1:])
     group = np.cumsum(new_group) - 1
-    head = e[new_group]  # each cost group's largest EI
+    head = np.fmax.reduceat(e, np.flatnonzero(new_group))  # each group's largest EI
     best_cheaper = np.empty_like(head)
     best_cheaper[0] = -math.inf
     np.maximum.accumulate(head[:-1], out=best_cheaper[1:])

@@ -214,6 +214,7 @@ def _run_suite_grid(
     are a ConfigError.
     """
     _check_each("--seeds", [args.seeds])
+    _check_each("--jobs", [args.jobs])
     # Alpha 0 is EI, which every grid runs; EIAlpha rejects a negative or NaN alpha.
     methods = methods + [acq.EIAlpha(a) for a in _parse_numbers(args.alphas) if a != 0]
     methods += [acq.CEI(l) for l in _parse_numbers(args.lambdas)]

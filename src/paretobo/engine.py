@@ -30,6 +30,16 @@ from .space import from_unit, sample_uniform
 from .surrogate import gp_fit
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an ``int`` when it is an integer of at least 1, a numpy
+    integer included; a bool, a float or a smaller value is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Iterations:
     """Budget: a fixed number of evaluations."""
@@ -37,8 +47,7 @@ class Iterations:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError(f"iteration budget must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _count("iteration budget", self.n))
 
     def exhausted(self, trace: Trace) -> bool:
         return len(trace) >= self.n
@@ -79,10 +88,11 @@ class RunConfig:
             raise ConfigError(
                 f"cost_model {self.cost_model!r} is not one of {ONLINE_COST_KINDS}"
             )
-        for name in ("candidate_count", "init_design_size"):  # None: the default
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        count = _count("candidate_count", self.candidate_count)
+        object.__setattr__(self, "candidate_count", count)
+        if self.init_design_size is not None:  # None: the default
+            count = _count("init_design_size", self.init_design_size)
+            object.__setattr__(self, "init_design_size", count)
         if self.candidate_count > acq.MAX_CANDIDATE_COUNT:
             raise ConfigError(
                 f"candidate_count must be <= {acq.MAX_CANDIDATE_COUNT}, "

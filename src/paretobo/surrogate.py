@@ -170,10 +170,12 @@ def _matern52(
 
     Works in place: ``scaled_sq`` is overwritten (it ends holding exp(-s))
     and ``scratch``, an array of the same shape, is used as a temporary.
-    The operations are those of ``sv * (1 + s + s*s/3) * exp(-s)``, in order.
+    The operations are those of ``sv * (1 + s + s*s/3) * exp(-s)``, in order,
+    with ``s = sqrt(5 * scaled_sq)`` taken as ``sqrt(scaled_sq) * sqrt(5)``.
+    ``scaled_sq`` is a sum of squares, so it is never negative, and a NaN
+    in it stays NaN.
     """
-    s = np.maximum(scaled_sq, 0.0, out=scaled_sq)
-    np.sqrt(s, out=s)
+    s = np.sqrt(scaled_sq, out=scaled_sq)
     s *= SQRT5
     k = np.add(s, 1.0, out=out)
     np.multiply(s, s, out=scratch)
@@ -199,14 +201,15 @@ def _fill_cross_kernel(
     """
     # Sum the scaled squared distance one dimension at a time, in dimension
     # order, instead of building the (m, n, d) difference tensor. The first
-    # dimension starts the sum; the others share one difference buffer.
+    # dimension starts the sum; the others share one difference buffer. A
+    # column of X1 against a row of X2 broadcasts to the outer difference.
     lengthscales = params.lengthscales
     scaled_sq, diff = work
-    np.subtract.outer(X1[:, 0], X2[:, 0], out=scaled_sq)
+    np.subtract(X1[:, :1], X2[:, 0], out=scaled_sq)
     scaled_sq /= lengthscales[0]
     scaled_sq *= scaled_sq
     for k in range(1, len(lengthscales)):
-        np.subtract.outer(X1[:, k], X2[:, k], out=diff)
+        np.subtract(X1[:, k : k + 1], X2[:, k], out=diff)
         diff /= lengthscales[k]
         diff *= diff
         scaled_sq += diff
@@ -222,10 +225,10 @@ def _cross_kernel(X1: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.nd
 def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of ``K`` with escalating diagonal jitter.
 
-    Returns the factor and the jitter that made ``K`` positive definite. Only
-    the lower triangle of the factor is set; the upper one keeps ``K``'s
-    entries. Raises NumericError on a non-finite ``K`` and ModelError when
-    the last jitter still fails.
+    Returns the factor, a new array whose strict upper triangle is zero, and
+    the jitter that made ``K`` positive definite; ``K`` is left as it is.
+    Raises NumericError on a non-finite ``K`` and ModelError when the last
+    jitter still fails.
     """
     if not np.isfinite(K).all():
         raise NumericError("kernel matrix has non-finite entries")
@@ -235,19 +238,13 @@ def _factorize(K: np.ndarray) -> tuple[np.ndarray, float]:
             K_jit[np.diag_indices_from(K_jit)] += jitter
         else:
             K_jit = K
-        chol, info = _POTRF(K_jit, lower=1, clean=0)
+        chol, info = _POTRF(K_jit, lower=1, clean=1)
         if info == 0:
             return chol, jitter
     raise ModelError(
         f"kernel factorization failed at jitter {JITTERS[-1]}: "
         f"{info}-th leading minor of the array is not positive definite"
     )
-
-
-def _solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``K x = b`` given the lower Cholesky factor of ``K``."""
-    x, _ = _POTRS(chol, b, lower=1)
-    return x
 
 
 def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
@@ -280,7 +277,7 @@ def build_model(X: np.ndarray, y: np.ndarray, params: KernelParams) -> GPModel:
     K = _cross_kernel(X, X, params)
     K[np.diag_indices_from(K)] += params.noise_variance
     chol, jitter = _factorize(K)
-    alpha = _solve(chol, y_std - params.mean_constant)
+    alpha, _ = _POTRS(chol, y_std - params.mean_constant, lower=1)
     return GPModel(
         train_inputs=X,
         train_targets_std=y_std,
@@ -299,7 +296,9 @@ class _MLLWorkspace:
 
     One workspace serves every evaluation of a ``gp_fit`` call; each
     evaluation overwrites all of it, so no value carries over between them.
-    ``upper`` marks the strict upper triangle.
+    ``upper`` marks the strict upper triangle; ``s_flat`` and ``base_flat``
+    are ``s`` and ``base`` as vectors, and ``base_diag`` is ``base``'s
+    diagonal, all views made once.
     """
 
     def __init__(self, n: int):
@@ -307,6 +306,9 @@ class _MLLWorkspace:
         self.s, self.exp_neg_s, self.one_plus_s, self.kf, self.base = np.empty(
             (5, n, n)
         )
+        self.s_flat = self.s.reshape(-1)
+        self.base_flat = self.base.reshape(-1)
+        self.base_diag = self.base_flat[:: n + 1]
 
 
 def _mll_value_and_grad(
@@ -319,8 +321,9 @@ def _mll_value_and_grad(
     """Log marginal likelihood and its gradient w.r.t. theta.
 
     ``sq_diffs`` is the precomputed (d, n, n) tensor of per-dimension squared
-    coordinate differences, and ``work`` the scratch arrays (built here when
-    not given). Gradients use the standard trace identity
+    coordinate differences, or the same flattened to (d, n*n) as ``gp_fit``
+    passes it, and ``work`` the scratch arrays (built here when not given).
+    Gradients use the standard trace identity
     dMLL/dp = 0.5 tr((aa^T - K^{-1}) dK/dp) with a = K^{-1}(y - m), and
     K^{-1} = L^{-T} L^{-1} comes from the Cholesky factor L. Every step runs
     in place, in the order of the plain expressions in the comments, so the
@@ -329,6 +332,8 @@ def _mll_value_and_grad(
     n, d = X.shape
     if work is None:
         work = _MLLWorkspace(n)
+    if sq_diffs.ndim == 3:
+        sq_diffs = sq_diffs.reshape(d, -1)
     sv = math.exp(theta[0])
     ls = np.exp(theta[1 : 1 + d])
     nv = math.exp(theta[1 + d])
@@ -338,7 +343,7 @@ def _mll_value_and_grad(
     # terms is nonnegative.
     inv_ls_sq = 1.0 / (ls * ls)
     s = work.s
-    np.matmul(inv_ls_sq, sq_diffs.reshape(d, -1), out=s.reshape(-1))
+    np.matmul(inv_ls_sq, sq_diffs, out=work.s_flat)
     np.sqrt(s, out=s)
     s *= SQRT5
     # Kf = sv * (1 + s + s*s/3) * exp(-s)
@@ -353,22 +358,21 @@ def _mll_value_and_grad(
     # K = Kf + nv I, held in base's buffer until the factorization copies it.
     K = work.base
     np.copyto(K, Kf)
-    K.reshape(-1)[:: n + 1] += nv
+    work.base_diag += nv
 
     chol, _ = _factorize(K)
     resid = y_std - m
-    a = _solve(chol, resid)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
+    a, _ = _POTRS(chol, resid, lower=1)
+    log_det = 2.0 * np.log(chol.diagonal()).sum()
     mll = -0.5 * float(resid @ a) - 0.5 * log_det - 0.5 * n * math.log(2.0 * math.pi)
 
-    # L^-1 over the factor, with the upper triangle (K's entries) zeroed;
-    # syrk sets the lower triangle of L^-T L^-1, mirrored upward.
+    # L^-1 over the factor, whose strict upper triangle is zero and stays
+    # zero; syrk sets the lower triangle of L^-T L^-1, mirrored upward.
     L_inv, _ = _TRTRI(chol, lower=1, overwrite_c=1)
-    np.copyto(L_inv, 0.0, where=work.upper)
     K_inv = _SYRK(1.0, L_inv, trans=1, lower=1)
     np.copyto(K_inv, K_inv.T, where=work.upper)
     # A = outer(a, a) - K^-1, in the inverse's own array.
-    A = np.subtract(np.multiply.outer(a, a, out=work.base), K_inv, out=K_inv)
+    A = np.subtract(np.multiply(a[:, None], a, out=work.base), K_inv, out=K_inv)
 
     grad = np.empty_like(theta)
     grad[0] = 0.5 * np.vdot(A, Kf)
@@ -378,9 +382,9 @@ def _mll_value_and_grad(
     W = np.multiply(one_plus_s, sv * (5.0 / 3.0), out=work.base)
     W *= exp_neg_s
     W *= A
-    grad[1 : 1 + d] = 0.5 * (inv_ls_sq * (sq_diffs.reshape(d, -1) @ W.reshape(-1)))
-    grad[1 + d] = 0.5 * nv * np.trace(A)
-    grad[2 + d] = float(np.sum(a))
+    grad[1 : 1 + d] = 0.5 * (inv_ls_sq * (sq_diffs @ work.base_flat))
+    grad[1 + d] = 0.5 * nv * A.trace()
+    grad[2 + d] = float(a.sum())
     return mll, grad
 
 
@@ -438,7 +442,7 @@ def minimize(
             dsave, LBFGS_MAXLS, ln_task,
         )
         if task[0] == _TASK_FG:
-            if not np.array_equal(x, x_evaluated):
+            if not (x == x_evaluated).all():
                 x_evaluated = x.copy()
                 f, g = evaluate(x)
                 nfev += 1
@@ -517,7 +521,7 @@ def gp_fit(
     n, d = X.shape
 
     y_std, t_mean, t_std, degenerate = _standardize(y)
-    sq_diffs = (X.T[:, :, None] - X.T[:, None, :]) ** 2  # (d, n, n)
+    sq_diffs = ((X.T[:, :, None] - X.T[:, None, :]) ** 2).reshape(d, -1)  # (d, n*n)
     work = _MLLWorkspace(n)
 
     # Every value computed, keyed by the point's bytes, so that start and end
@@ -530,10 +534,11 @@ def gp_fit(
             mll, grad = _mll_value_and_grad(theta, X, y_std, sq_diffs, work)
         except ModelError:
             mll = math.nan
-        if not np.isfinite(mll):
+        if not math.isfinite(mll):
             value, grad = 1e25, np.zeros_like(theta)
         else:
-            value, grad = -mll, -grad
+            value = -mll
+            np.negative(grad, out=grad)
         seen[theta.tobytes()] = value
         return value, grad
 
@@ -630,7 +635,7 @@ def gp_posterior(model: GPModel, x: np.ndarray) -> Posterior:
 def log_marginal_likelihood(model: GPModel) -> float:
     """Exact MLL of the standardized targets under the model's params."""
     resid = model.train_targets_std - model.params.mean_constant
-    log_det = 2.0 * np.sum(np.log(np.diag(model.chol)))
+    log_det = 2.0 * np.log(model.chol.diagonal()).sum()
     n = model.n_train
     return float(
         -0.5 * resid @ model.alpha - 0.5 * log_det - 0.5 * n * math.log(2 * math.pi)

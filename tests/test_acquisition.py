@@ -266,6 +266,38 @@ def loop_front_indices(eis, costs):
     return front
 
 
+@st.composite
+def tied_scores(draw):
+    """EIs and costs rounded to 1-3 decimals, with zero EIs and, in some
+    sets, one cost for every member."""
+    m = draw(st.integers(1, 80))
+    decimals = draw(st.integers(1, 3))
+    unit = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)
+    eis = np.round(np.array(draw(unit)), decimals)
+    eis[np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)))] = 0.0
+    costs = np.round(0.5 + 2.0 * np.array(draw(unit)), decimals)
+    if draw(st.integers(0, 3)) == 0:
+        costs[:] = costs[0]
+    return eis, costs
+
+
+class TestFrontOnTies:
+    """One stable sort by cost gives lexsort's front, ties and all."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(scores=tied_scores())
+    @example(scores=(np.array([0.0]), np.array([1.0])))
+    @example(scores=(np.array([0.4]), np.array([2.5])))
+    @example(scores=(np.zeros(6), np.full(6, 1.5)))
+    @example(scores=(np.array([0.2, 0.7, 0.7, 0.1, 0.7]), np.full(5, 1.0)))
+    @example(scores=(np.array([0.3, 0.3, 0.5, 0.5]), np.array([2.0, 1.0, 2.0, 1.0])))
+    # A NaN EI next to a number at its cost is skipped, as sorting on EI skips it.
+    @example(scores=(np.array([math.nan, 0.2, 0.6]), np.array([1.0, 1.0, 2.0])))
+    def test_matches_the_loop_reference(self, scores):
+        eis, costs = scores
+        assert front_indices(eis, costs).tolist() == loop_front_indices(eis, costs)
+
+
 def parity_sets(rng):
     """Scored sets with ties, duplicates, all-zero EI and a single point."""
     sets = []

@@ -301,6 +301,23 @@ class TestCommands:
         assert first in error["message"] and second in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["biopt", "time-alloc"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected_before_any_run(self, tmp_path, capsys, command, jobs):
+        out = tmp_path / "grid"
+        code = main(
+            [
+                command, "--suite", "quick", "--seeds", "1", "--iters", "6",
+                "--alphas", "1", "--lambdas", "", "--candidates", "16",
+                "--jobs", jobs, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert f"--jobs {jobs!r}" in error["message"]
+        assert not out.exists()
+
     def test_rank_command_reuses_stored_traces(self, tmp_path):
         out = tmp_path / "grid"
         main(

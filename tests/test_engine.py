@@ -70,6 +70,14 @@ class TestRunConfigChecks:
             ("candidate_count", acq_mod.MAX_CANDIDATE_COUNT + 1),
             ("init_design_size", 0),
             ("init_design_size", -2),
+            ("candidate_count", 16.5),
+            ("candidate_count", 16.0),
+            ("candidate_count", True),
+            ("candidate_count", None),
+            ("init_design_size", 2.5),
+            ("init_design_size", np.float64(3.0)),
+            ("init_design_size", False),
+            ("init_design_size", "3"),
         ],
     )
     def test_bad_value_raises_before_any_evaluation(self, field, value):
@@ -83,6 +91,27 @@ class TestRunConfigChecks:
         with pytest.raises(ConfigError, match=field):
             run(problem, quick_config(**{field: value}))
         assert calls == []
+
+    @pytest.mark.parametrize("n", [6.5, 6.0, np.float64(6.0), True, "6"])
+    def test_iteration_budget_must_be_an_integer(self, n):
+        with pytest.raises(ConfigError, match="iteration budget must be an integer"):
+            Iterations(n)
+
+    def test_numpy_integer_counts_write_the_trace_of_python_ints(self, tmp_path):
+        config = quick_config(
+            budget=Iterations(np.int64(7)),
+            candidate_count=np.int32(32),
+            init_design_size=np.uint8(5),
+        )
+        plain = quick_config(budget=Iterations(7), candidate_count=32, init_design_size=5)
+        assert config == plain
+        assert type(config.budget.n) is type(config.candidate_count) is int
+        assert type(config.init_design_size) is int
+        run(quick_problem(), config).write(tmp_path / "numpy.jsonl")
+        run(quick_problem(), plain).write(tmp_path / "plain.jsonl")
+        assert (tmp_path / "numpy.jsonl").read_bytes() == (
+            tmp_path / "plain.jsonl"
+        ).read_bytes()
 
     @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -1.0])
     def test_cost_budget_must_be_finite_and_positive(self, tau):

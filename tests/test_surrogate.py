@@ -36,6 +36,7 @@ from paretobo.surrogate import (
     _MLLWorkspace,
     _cross_kernel,
     _default_start,
+    _factorize,
     _fill_cross_kernel,
     _mll_value_and_grad,
     _random_start,
@@ -764,6 +765,56 @@ class TestWorkspace:
             ref_mll, ref_grad, _ = reference_mll_value_and_grad(theta, X, y_std, sq)
             assert mll.hex() == ref_mll.hex()
             assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_flattened_squared_differences_give_the_same_bits(self):
+        rng = np.random.default_rng(35)
+        n, d = 17, 3
+        X = rng.uniform(size=(n, d))
+        y_std = _standardize(rng.normal(size=n))[0]
+        sq = _sq_diffs(X)
+        for _ in range(5):
+            theta = _random_start(d, rng)
+            mll, grad = _mll_value_and_grad(theta, X, y_std, sq)
+            flat_mll, flat_grad = _mll_value_and_grad(theta, X, y_std, sq.reshape(d, -1))
+            assert mll.hex() == flat_mll.hex()
+            assert grad.tobytes() == flat_grad.tobytes()
+
+
+class TestFactorize:
+    """The factor's strict upper triangle is zero, and ``trtri`` keeps it zero:
+    the MLL's ``syrk`` reads the whole inverse factor."""
+
+    @staticmethod
+    def check_factor(K):
+        """The jitter ``_factorize`` used, after checking its factor."""
+        before = K.copy()
+        chol, jitter = _factorize(K)
+        assert K.tobytes() == before.tobytes()
+        assert not np.shares_memory(chol, K)
+        assert not np.triu(chol, 1).any()
+        K_jit = K.copy()
+        K_jit[np.diag_indices_from(K_jit)] += jitter
+        lower, info = surrogate_mod._POTRF(K_jit, lower=1, clean=0)
+        assert info == 0
+        assert np.tril(chol).tobytes() == np.tril(lower).tobytes()
+        L_inv, info = surrogate_mod._TRTRI(chol, lower=1)
+        assert info == 0
+        assert not np.triu(L_inv, 1).any()
+        return jitter
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_upper_triangle_is_zero_without_jitter(self, n):
+        rng = np.random.default_rng(41)
+        X = rng.uniform(size=(n, 3))
+        K = _cross_kernel(X, X, KernelParams(1.3, np.full(3, 0.4), 1e-3))
+        K[np.diag_indices_from(K)] += 1e-3
+        assert self.check_factor(K) == 0.0
+
+    def test_upper_triangle_is_zero_after_jitter_escalation(self):
+        rng = np.random.default_rng(7)
+        X = np.repeat(rng.uniform(size=(6, 2)), 3, axis=0)  # every point thrice
+        K = _cross_kernel(X, X, KernelParams(1.0, np.full(2, 0.3), 1e-20))
+        assert self.check_factor(K) in JITTERS[1:]
 
 
 def block_model(n, d=2, noise=0.05, seed=0):
